@@ -5,9 +5,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from functools import lru_cache
 from pathlib import Path
 
 CACHE_FORMAT = 1
+
+
+@lru_cache(maxsize=None)
+def code_hash() -> str:
+    """SHA-256 of the package's own sources, the code version of a record.
+
+    Any edit to ``ogc/*.py``, such as a change of canonical
+    representatives, changes the hash, so no record computed by other code
+    replays.  Computed on first use: only cached commands pay for it.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def canonical_json(obj) -> str:

@@ -12,7 +12,10 @@ One executable with a --command selector:
 Output is a JSON record {command, params, rows, timing} or a CSV of the
 rows.  Rows are deterministic for a fixed configuration regardless of
 the worker count; timing varies.  Exit code 0 means every check passed,
-1 means a verification failed, 2 is a usage error.
+1 means a verification failed, 2 is a usage error, and 3 is an internal
+error: a differential or comparison-map term fell outside the enumerated
+target basis (a basis, skeleton or image closure error), reported as one
+``internal error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import __version__
 from .graphs import Parity
 from .complexes import (
+    BasisClosureError,
     Constraint,
     REDUCED_CONSTRAINTS,
     SliceParams,
@@ -34,9 +37,12 @@ from .complexes import (
     enumerate_basis,
     slice_chain,
 )
-from .skeleton import SkeletonFamily, skeleton_homology_dims
-from .treemap import verify_chain_map, verify_quasi_iso
+from .skeleton import SkeletonClosureError, SkeletonFamily, skeleton_homology_dims
+from .treemap import ImageClosureError, verify_chain_map, verify_quasi_iso
 from . import cache as result_cache
+
+# closure failures are bugs in the package, not verdicts on the input
+INTERNAL_ERRORS = (BasisClosureError, SkeletonClosureError, ImageClosureError)
 
 CONSTRAINT_TOKENS = {
     "connected": Constraint.CONNECTED,
@@ -374,9 +380,10 @@ def main(argv=None):
         key = None
         cache_dir = args.cache_dir or result_cache.default_cache_dir()
         if args.command == "homology":
-            key = result_cache.record_key("homology", params_dict(args), __version__)
+            code = result_cache.code_hash()
+            key = result_cache.record_key("homology", params_dict(args), code)
             try:
-                cached = result_cache.load(cache_dir, key, __version__)
+                cached = result_cache.load(cache_dir, key, code)
             except result_cache.CacheCorruption as exc:
                 print(f"warning: {exc}", file=sys.stderr)
                 cached = None
@@ -402,12 +409,16 @@ def main(argv=None):
             "timing": round(time.time() - start, 6),
         }
         if args.command == "homology" and key is not None:
-            result_cache.store(cache_dir, key, __version__, record)
+            result_cache.store(cache_dir, key, code, record)
         sys.stdout.write(render(record, args.output))
         return 0 if ok else 1
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except INTERNAL_ERRORS as exc:
+        lines = [line.strip() for line in str(exc).splitlines() if line.strip()]
+        print(f"internal error: {' | '.join(lines)}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

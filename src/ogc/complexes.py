@@ -30,6 +30,7 @@ from .graphs import (
     _perms_with_signs,
     canonicalize,
     is_passing,
+    perm_sign,
     sort_key,
     to_text,
 )
@@ -237,8 +238,10 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
     classes removed.
 
     Works in two levels: orbit representatives of the underlying
-    multigraph first, then color assignments canonicalized over the
-    multigraph's stabilizer only.
+    multigraph first, then color assignments.  A coloring is kept when it
+    is its own minimal form over the multigraph's stabilizer, which picks
+    one coloring per non-Zero class; the slice stores that class's
+    ``canonicalize`` representative, so differential terms find it.
     """
     check_constraints(params.constraints)
     check_bounds(params.v, params.e, params.k, force)
@@ -257,7 +260,7 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
             continue
         if Constraint.MIN_VALENCE_3_SOMEWHERE in cons and not any(d >= 3 for d in M.degrees):
             continue
-        stab_signed = tuple((p, _perm_sign_cached(p)) for p in M.stab)
+        stab_signed = tuple((p, perm_sign(p)) for p in M.stab)
         for colors in _color_assignments(params.v, M.pairs, params.k):
             records = tuple(pair + cs for pair, cs in zip(M.pairs, colors))
             g = ColoredGraph(params.v, params.k, records)
@@ -267,16 +270,11 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
             if out is None or out[0] != records:
                 # zero class, or a non-canonical labeling of one
                 continue
-            basis.append(g)
+            cls = canonicalize(g, parity)
+            assert not cls.is_zero, "stabilizer and refinement disagree on Zero"
+            basis.append(cls.rep)
     basis.sort(key=sort_key)
     return BasisSlice(params, tuple(basis), params.degree)
-
-
-@lru_cache(maxsize=None)
-def _perm_sign_cached(perm):
-    from .graphs import perm_parity
-
-    return perm_parity(perm)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,15 @@ Conventions used throughout the package:
 * A graph whose symmetry class supports an odd automorphism is zero; the
   canonical form machinery detects this and reports the distinguished
   ``Zero`` value.
+
+Canonical forms come from one labeling engine shared with the skeleton
+complex: color refinement (``_refine``) splits the vertices into an
+ordered partition that every isomorphism respects, and a normalization
+kernel takes the minimal form over the permutations that map each cell
+onto its own block of positions (``_cell_perms``), not over all v! of
+them.  This is the refinement half of McKay & Piperno, "Practical graph
+isomorphism II", J. Symbolic Comput. 60 (2014), without
+individualization.
 """
 
 from __future__ import annotations
@@ -174,16 +183,92 @@ def _inversion_parity(items) -> int:
 
 
 @lru_cache(maxsize=None)
+def perm_sign(perm: tuple) -> int:
+    """Cached ``perm_parity`` for tuple permutations that recur, such as
+    the stabilizer elements the basis enumerators sweep per coloring."""
+    return perm_parity(perm)
+
+
+@lru_cache(maxsize=None)
 def _perms_with_signs(v: int):
     return tuple((p, perm_parity(p)) for p in itertools.permutations(range(v)))
+
+
+def _refine(v, nbrs):
+    """Color refinement (1-WL) to a stable ordered partition of 0..v-1.
+
+    ``nbrs[x]`` lists ``(y, data)`` for every edge end at x, where y is
+    the far end and ``data`` describes the edge as seen from x; it must
+    not change when the edge is reversed.  Each round a vertex's new
+    class is the rank of its old class together with the sorted
+    (neighbor class, data) pairs it sees.  Nothing depends on vertex
+    labels, so a relabeled graph gets the relabeled cells in the same
+    order.  Returns the cells as lists, in class order.
+    """
+    classes = [0] * v
+    count = 1 if v else 0
+    while True:
+        sigs = [
+            (classes[x], tuple(sorted((classes[y], d) for y, d in nbrs[x])))
+            for x in range(v)
+        ]
+        rank_of = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        classes = [rank_of[s] for s in sigs]
+        if len(rank_of) == count:
+            break
+        count = len(rank_of)
+    cells = [[] for _ in range(count)]
+    for x in range(v):
+        cells[classes[x]].append(x)
+    return cells
+
+
+def _edge_ends(g: ColoredGraph):
+    """Refinement input of a graph: at each end of an edge, the far end
+    and the color signs pointing away from this end."""
+    nbrs = [[] for _ in range(g.v)]
+    for rec in g.records:
+        cs = rec[2:]
+        nbrs[rec[0]].append((rec[1], cs))
+        nbrs[rec[1]].append((rec[0], tuple(-s for s in cs)))
+    return nbrs
+
+
+def _cell_perms(cells):
+    """Yield (vertex permutation, sign) for every permutation that maps
+    each cell onto its own block of positions, blocks in cell order.
+
+    Every automorphism preserves the refined cells, so this set is closed
+    under composing with automorphisms: its minimal normalized form is a
+    class invariant, and an odd automorphism still shows as an equal form
+    with the opposite sign.  A partition into singletons yields one
+    permutation.
+    """
+    base = []
+    blocks = []
+    for cell in cells:
+        blocks.append((cell, len(base), _perms_with_signs(len(cell))))
+        base.extend(cell)
+    # base lists the vertices by position, so it is the inverse of the
+    # identity-within-blocks relabeling and has the same sign
+    base_sign = perm_parity(base)
+    perm = [0] * len(base)
+    for choice in itertools.product(*(b[2] for b in blocks)):
+        sign = base_sign
+        for (cell, start, _), (p, s) in zip(blocks, choice):
+            sign *= s
+            for j, x in enumerate(cell):
+                perm[x] = start + p[j]
+        yield tuple(perm), sign
 
 
 def sort_key(g: ColoredGraph):
     """Total order on graphs: (tail, head) data first, then color data.
 
-    Comparing all pair data before any color data makes the canonical
-    colored graph sit over the canonical underlying multigraph, which the
-    basis enumerator relies on.
+    Comparing all pair data before any color data makes the form that is
+    minimal over a multigraph's stabilizer sit over that (orbit-minimal)
+    multigraph, which the basis enumerator's one-coloring-per-class test
+    relies on.
     """
     return (g.v, g.k, tuple(r[:2] for r in g.records), tuple(r[2:] for r in g.records))
 
@@ -197,9 +282,10 @@ def _canonical_records(v, records, parity, perms):
 
     Returns ``(records, sign)`` or None when an odd automorphism kills the
     class.  ``perms`` is an iterable of (vertex permutation, permutation
-    sign) pairs; passing all of S_v gives the true canonical form, passing
-    the stabilizer of an already-canonical underlying multigraph gives the
-    same answer faster.
+    sign) pairs closed under composing with the graph's automorphisms: the
+    refinement-respecting permutations (canonical forms), the stabilizer
+    of an orbit-minimal underlying multigraph (the basis enumerator's
+    test), or all of S_v (the exhaustive reference).
     """
     even = parity is Parity.EVEN
     best = None
@@ -239,12 +325,15 @@ def _canonical_records(v, records, parity, perms):
 def canonicalize(g: ColoredGraph, parity: Parity) -> CanonicalClass:
     """Canonical representative of g's signed symmetry class.
 
-    Exhausts all v! vertex relabelings; for each, reverses edges so that
-    tail < head and sorts the records, folding the sign rules of the
-    parity.  Two relabelings reaching the same normal form with opposite
-    signs witness an odd automorphism and yield Zero.
+    Refines the vertices by their edge ends (far class and color signs
+    pointing away from the vertex) and sweeps the cell-respecting
+    relabelings only; for each, reverses edges so that tail < head and
+    sorts the records, folding the sign rules of the parity.  Two
+    relabelings reaching the same normal form with opposite signs witness
+    an odd automorphism and yield Zero.
     """
-    out = _canonical_records(g.v, g.records, parity, _perms_with_signs(g.v))
+    cells = _refine(g.v, _edge_ends(g))
+    out = _canonical_records(g.v, g.records, parity, _cell_perms(cells))
     if out is None:
         return ZERO
     recs, sign = out

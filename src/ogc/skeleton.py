@@ -37,10 +37,13 @@ from .graphs import (
     Parity,
     TermVector,
     _arcs_acyclic,
+    _cell_perms,
     _inversion_parity,
     _perms_with_signs,
+    _refine,
     canonicalize,
     is_weakly_passing,
+    perm_sign,
 )
 from .linalg import SparseRationalMatrix, rank
 
@@ -102,28 +105,59 @@ class SkeletonClass:
 SK_ZERO = SkeletonClass(None, 0)
 
 
+# edge-end tags for refinement: a solid arrow is pinned, so its two ends
+# differ; a dotted arrow reverses, so both ends look alike
+_SOLID_OUT, _SOLID_IN, _DOTTED, _DOTTED_TADPOLE = range(4)
+
+
+def _sk_edge_ends(sg: SkeletonGraph):
+    """Refinement input of a skeleton: at each edge end, the far end, the
+    end's tag and the base color signs pointing away from this end.  A
+    tadpole's signs are taken up to reversal."""
+    nbrs = [[] for _ in range(sg.v)]
+    for rec in sg.solid:
+        cs = rec[2:]
+        nbrs[rec[0]].append((rec[1], (_SOLID_OUT, cs)))
+        nbrs[rec[1]].append((rec[0], (_SOLID_IN, tuple(-s for s in cs))))
+    for rec in sg.dotted:
+        cs = rec[2:]
+        neg = tuple(-s for s in cs)
+        if rec[0] == rec[1]:
+            nbrs[rec[0]].append((rec[0], (_DOTTED_TADPOLE, min(cs, neg))))
+        else:
+            nbrs[rec[0]].append((rec[1], (_DOTTED, cs)))
+            nbrs[rec[1]].append((rec[0], (_DOTTED, neg)))
+    return nbrs
+
+
 def canonicalize_skeleton(sg: SkeletonGraph, parity: Parity) -> SkeletonClass:
-    out = _sk_canonical(sg, parity)
+    """Canonical representative of sg's signed class, or SK_ZERO.
+
+    Runs the graph engine: vertices are refined by their tagged edge ends,
+    and the normalization sweeps the cell-respecting relabelings only.
+    """
+    cells = _refine(sg.v, _sk_edge_ends(sg))
+    out = _sk_canonical(sg, parity, _cell_perms(cells))
     if out is None:
         return SK_ZERO
     (solid, dotted), sign = out
     return SkeletonClass(SkeletonGraph(sg.v, sg.k, solid, dotted), sign)
 
 
-def _sk_canonical(sg, parity, perms=None):
-    """Canonical-form sweep: minimal normalized form with sign, or None
-    for a zero class.
+def _sk_canonical(sg, parity, perms):
+    """Normalization kernel: minimal normalized form with sign over the
+    given (vertex permutation, sign) pairs, or None for a zero class.
 
-    ``perms`` restricts the vertex permutations; passing the stabilizer
-    of an already-canonical underlying structure gives the full answer
-    because any other permutation only increases the form's key.
+    ``perms`` must be closed under composing with the graph's
+    automorphisms: the refinement-respecting permutations (canonical
+    forms), the stabilizer of an orbit-minimal structure (the shape
+    enumerator's test, exact there because the key compares pair data
+    first), or all of S_v (the exhaustive reference).
     """
     m_even = parity is Parity.EVEN
     best_key = None
     best = None
     best_sign = 0
-    if perms is None:
-        perms = _perms_with_signs(sg.v)
     for perm, psign in perms:
         sign = 1 if m_even else psign
         solids = []
@@ -656,8 +690,10 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     """Canonical classes of one (v, solids, dotteds) shape, sorted.
 
     Two levels, like the ordinary basis enumeration: structures up to
-    relabeling first, then base-color assignments canonicalized over the
-    structure's stabilizer.
+    relabeling first, then base-color assignments.  An assignment is kept
+    when it is its own minimal form over the structure's stabilizer, one
+    per non-Zero class, and stored as its ``canonicalize_skeleton``
+    representative.
     """
     from .complexes import _acyclic_support_signs
 
@@ -676,7 +712,7 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
         else:
             orient = ((),)
             index = {}
-        stab_signed = tuple((p, _sk_perm_sign(p)) for p in stab)
+        stab_signed = tuple((p, perm_sign(p)) for p in stab)
         for combo in itertools.product(orient, repeat=k):
             solid_recs = []
             for t, h in solids:
@@ -689,22 +725,17 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
             sg = SkeletonGraph(v, k, tuple(sorted(solid_recs)), tuple(sorted(dotted_recs)))
             if not _family_admits(sg, params.family, parity):
                 continue
-            out = _sk_canonical(sg, parity, perms=stab_signed)
+            out = _sk_canonical(sg, parity, stab_signed)
             if out is None:
                 continue
             (best_solid, best_dotted), _ = out
             if (best_solid, best_dotted) != (sg.solid, sg.dotted):
                 continue
-            basis.append(sg)
+            cls = canonicalize_skeleton(sg, parity)
+            assert not cls.is_zero, "stabilizer and refinement disagree on Zero"
+            basis.append(cls.rep)
     basis.sort(key=sk_sort_key)
     return tuple(basis)
-
-
-@lru_cache(maxsize=None)
-def _sk_perm_sign(perm):
-    from .graphs import perm_parity
-
-    return perm_parity(perm)
 
 
 @dataclass(frozen=True)
