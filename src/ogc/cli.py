@@ -29,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .graphs import Parity
 from .complexes import (
+    DEFAULT_BOUNDS as BOUNDS,
     BasisClosureError,
     Constraint,
     REDUCED_CONSTRAINTS,
@@ -52,9 +53,6 @@ CONSTRAINT_TOKENS = {
     "only2": Constraint.ONLY_2_VALENT,
 }
 
-BOUNDS = {"v": 8, "e": 12, "k": 2}
-
-
 def parse_constraints(text):
     if text == "reduced":
         return REDUCED_CONSTRAINTS
@@ -73,17 +71,19 @@ def parse_constraints(text):
 
 
 def parse_window(text):
-    lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    """Vertex range ``lo:hi`` with integers 1 <= lo <= hi."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        lo = hi = 0
+    if not 1 <= lo <= hi:
+        raise UsageError(f"--window must be lo:hi with integers 1 <= lo <= hi, got {text!r}")
+    return lo, hi
 
 
 def make_parser():
     p = argparse.ArgumentParser(prog="ogc", description=__doc__.splitlines()[0])
-    p.add_argument(
-        "--command",
-        required=True,
-        choices=["enumerate", "homology", "verify-dsq", "verify-chain", "verify-thm1", "verify-props"],
-    )
+    p.add_argument("--command", required=True, choices=list(COMMANDS))
     p.add_argument("--n", type=int, default=0, help="integer grading parameter")
     p.add_argument("--colors", type=int, default=0, help="number of colors k")
     p.add_argument("--vertices-max", type=int, default=5)
@@ -102,13 +102,14 @@ def make_parser():
     return p
 
 
-def check_bounds(args):
-    if args.force:
-        return
-    if args.vertices_max > BOUNDS["v"] or args.edges_max > BOUNDS["e"] or args.colors > BOUNDS["k"]:
-        raise UsageError(
-            f"requested bounds exceed defaults {BOUNDS}; pass --force to override"
-        )
+def check_args(args):
+    """Usage errors caught before any work: bounds over the defaults
+    without --force, and a malformed --window."""
+    over = args.vertices_max > BOUNDS["v"] or args.edges_max > BOUNDS["e"] or args.colors > BOUNDS["k"]
+    if over and not args.force:
+        raise UsageError(f"requested bounds exceed defaults {BOUNDS}; pass --force to override")
+    if args.window is not None:
+        parse_window(args.window)
 
 
 class UsageError(Exception):
@@ -348,6 +349,16 @@ def cmd_verify_props(args):
     return rows, all(str(r["value"]).startswith("pass") for r in rows)
 
 
+COMMANDS = {
+    "enumerate": cmd_enumerate,
+    "homology": cmd_homology,
+    "verify-dsq": cmd_verify_dsq,
+    "verify-chain": cmd_verify_chain,
+    "verify-thm1": cmd_verify_thm1,
+    "verify-props": cmd_verify_props,
+}
+
+
 def params_dict(args):
     return {
         "n": args.n,
@@ -374,7 +385,7 @@ def render(record, fmt):
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        check_bounds(args)
+        check_args(args)
         start = time.time()
         cached = None
         key = None
@@ -390,18 +401,7 @@ def main(argv=None):
         if cached is not None:
             sys.stdout.write(render(cached, args.output))
             return 0
-        if args.command == "enumerate":
-            rows, ok = cmd_enumerate(args)
-        elif args.command == "homology":
-            rows, ok = cmd_homology(args)
-        elif args.command == "verify-dsq":
-            rows, ok = cmd_verify_dsq(args)
-        elif args.command == "verify-chain":
-            rows, ok = cmd_verify_chain(args)
-        elif args.command == "verify-thm1":
-            rows, ok = cmd_verify_thm1(args)
-        else:
-            rows, ok = cmd_verify_props(args)
+        rows, ok = COMMANDS[args.command](args)
         record = {
             "command": args.command,
             "params": params_dict(args),

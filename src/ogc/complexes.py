@@ -27,7 +27,8 @@ from .graphs import (
     TermVector,
     _arcs_acyclic,
     _canonical_records,
-    _perms_with_signs,
+    _orbit_reps,
+    _pairs_connected,
     canonicalize,
     is_passing,
     perm_sign,
@@ -57,6 +58,8 @@ REDUCED_CONSTRAINTS = frozenset(
 )
 
 DEFAULT_BOUNDS = {"v": 8, "e": 12, "k": 2}
+# one skeleton shape: vertices, expanded edges (solid + 2 * dotted), colors
+SHAPE_BOUNDS = {"v": 6, "e": 12, "k": 2}
 
 
 @dataclass(frozen=True)
@@ -132,59 +135,15 @@ def _pair_degrees(v, pairs):
     return tuple(deg)
 
 
-def _pairs_connected(v, pairs):
-    parent = list(range(v))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = v
-    for t, h in pairs:
-        a, b = find(t), find(h)
-        if a != b:
-            parent[a] = b
-            comps -= 1
-    return comps == 1
-
-
 @lru_cache(maxsize=None)
 def _multigraph_reps(v: int, e: int):
-    """Orbit representatives of e-edge multigraphs on v labeled vertices.
-
-    Sweeps the sorted-pair-multiset space once; the first member of each
-    vertex-relabeling orbit is kept together with its stabilizer.
-    """
-    if v == 0:
-        return ()
-    alphabet = [(t, h) for t in range(v) for h in range(t + 1, v)]
-    if e > 0 and not alphabet:
-        return ()
-    perms = [p for p, _ in _perms_with_signs(v)]
-    seen = set()
-    reps = []
-    for ms in itertools.combinations_with_replacement(alphabet, e):
-        if ms in seen:
-            continue
-        # the sweep runs in lex order, so the first unseen member is the
-        # orbit minimum; its stabilizer falls out of the same pass
-        stab = []
-        for p in perms:
-            moved = tuple(sorted((p[t], p[h]) if p[t] < p[h] else (p[h], p[t]) for t, h in ms))
-            seen.add(moved)
-            if moved == ms:
-                stab.append(p)
-        reps.append(
-            _Multigraph(
-                pairs=ms,
-                degrees=_pair_degrees(v, ms),
-                connected=_pairs_connected(v, ms),
-                stab=tuple(stab),
-            )
-        )
-    return tuple(reps)
+    """Orbit representatives of e-edge multigraphs on v labeled vertices,
+    each with its stabilizer: the degree-sorted labelings built first by
+    the orbit generator ``_orbit_reps``, disconnected ones included."""
+    return tuple(
+        _Multigraph(pairs, _pair_degrees(v, pairs), _pairs_connected(v, pairs), stab)
+        for (pairs,), stab in _orbit_reps(v, ((e, False, False),))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -218,30 +177,17 @@ def _color_assignments(v, pairs, k):
     return out
 
 
-def _satisfies(params, g, degrees):
-    cons = params.constraints
-    if Constraint.MIN_VALENCE_2 in cons and any(d < 2 for d in degrees):
-        return False
-    if Constraint.ONLY_2_VALENT in cons and any(d != 2 for d in degrees):
-        return False
-    if Constraint.MIN_VALENCE_3_SOMEWHERE in cons and not any(d >= 3 for d in degrees):
-        return False
-    if Constraint.NO_PASSING in cons:
-        for x in range(g.v):
-            if degrees[x] == 2 and is_passing(g, x):
-                return False
-    return True
-
-
 def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
     """All canonical classes of the slice, sorted, duplicates and Zero
     classes removed.
 
     Works in two levels: orbit representatives of the underlying
-    multigraph first, then color assignments.  A coloring is kept when it
-    is its own minimal form over the multigraph's stabilizer, which picks
-    one coloring per non-Zero class; the slice stores that class's
-    ``canonicalize`` representative, so differential terms find it.
+    multigraph first, then color assignments on that labeled multigraph.
+    The colorings of one class there form one orbit of the multigraph's
+    stabilizer (its full automorphism group), so keeping a coloring when
+    it is its own minimal form over the stabilizer picks one coloring per
+    non-Zero class; the slice stores that class's ``canonicalize``
+    representative, so differential terms find it.
     """
     check_constraints(params.constraints)
     check_bounds(params.v, params.e, params.k, force)
@@ -264,7 +210,9 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
         for colors in _color_assignments(params.v, M.pairs, params.k):
             records = tuple(pair + cs for pair, cs in zip(M.pairs, colors))
             g = ColoredGraph(params.v, params.k, records)
-            if not _satisfies(params, g, M.degrees):
+            if Constraint.NO_PASSING in cons and any(
+                d == 2 and is_passing(g, x) for x, d in enumerate(M.degrees)
+            ):
                 continue
             out = _canonical_records(params.v, records, parity, stab_signed)
             if out is None or out[0] != records:

@@ -262,13 +262,119 @@ def _cell_perms(cells):
         yield tuple(perm), sign
 
 
+def _orbit_reps(v, kinds, connected=False):
+    """Orbit representatives, with full stabilizers, of typed edge
+    structures on v labeled vertices (orderly generation after McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).
+
+    ``kinds`` lists ``(count, directed, loops)``: ``count`` arcs (t, h)
+    forming an acyclic digraph, or pairs t < h plus loops (t, t) if
+    ``loops``.  Returns ``(edges, stab)``: one sorted tuple per kind and
+    the vertex permutations fixing it; ``connected`` keeps connected ones.
+
+    Only labelings whose vertex signatures ((out, in) per directed kind,
+    (degree, loops) per undirected one) do not increase are built.  Edges
+    are chosen in (min end, max end) order, so vertices complete in label
+    order, and a branch dies once a partial signature exceeds the last
+    completed one or an arc closes a cycle.  Such labelings of one orbit
+    differ by permutations within blocks of equal signature: the first
+    one built is kept, and sweeping the block permutations marks the
+    others seen and finds the stabilizer, which is all automorphisms
+    because they preserve signatures.
+    """
+    alphabet, opens = [], set()
+    for a in range(v):
+        opens.add(len(alphabet))
+        for b in range(a, v):
+            for kind, (_, directed, loops) in enumerate(kinds):
+                if a == b:
+                    if loops:
+                        alphabet.append((kind, a, a, a, ((a, 2 * kind + 1),)))
+                else:
+                    alphabet.append((kind, a, b, a, ((a, 2 * kind), (b, 2 * kind + directed))))
+                    if directed:
+                        alphabet.append((kind, b, a, a, ((b, 2 * kind), (a, 2 * kind + 1))))
+    last = {entry[0]: i for i, entry in enumerate(alphabet)}
+    if any(count and kind not in last for kind, (count, _, _) in enumerate(kinds)):
+        return ()
+    rem = [count for count, _, _ in kinds]
+    done = [0] * len(kinds)
+    sig = [[0] * (2 * len(kinds)) for _ in range(v)]
+    chosen = [[] for _ in kinds]
+    seen, reps = set(), []
+
+    def image(p):
+        return tuple(
+            tuple(sorted((p[t], p[h]) if directed or p[t] <= p[h] else (p[h], p[t]) for t, h in es))
+            for (_, directed, _), es in zip(kinds, chosen)
+        )
+
+    def leaf():
+        if sig != sorted(sig, reverse=True):
+            return
+        if connected and not _pairs_connected(v, [p for es in chosen for p in es]):
+            return
+        key = image(range(v))
+        if key in seen:
+            return
+        cells = [list(c) for _, c in itertools.groupby(range(v), key=sig.__getitem__)]
+        stab = []
+        for p, _ in _cell_perms(cells):
+            moved = image(p)
+            seen.add(moved)
+            if moved == key:
+                stab.append(p)
+        reps.append((key, tuple(stab)))
+
+    def extend(i):
+        # every kind's last entry takes all its remaining edges, so the
+        # counts run out at the latest with the alphabet
+        while True:
+            if rem == done:
+                return leaf()
+            kind, t, h, a, bumps = alphabet[i]
+            # entering vertex a's entries, vertex a - 1 is complete and no
+            # later vertex may outrank it
+            if a and i in opens and max(sig[a:]) > sig[a - 1]:
+                return
+            if rem[kind]:
+                break
+            i += 1
+        count, directed = rem[kind], kinds[kind][1]
+        low = count if last[kind] == i else 0
+        added = 0
+        while True:
+            if added >= low:
+                rem[kind] = count - added
+                extend(i + 1)
+            # an arc t -> h closes a cycle only if h has out-arcs and t in-arcs
+            if added == count or (
+                directed and not added and sig[h][2 * kind] and sig[t][2 * kind + 1]
+                and not _arcs_acyclic(v, chosen[kind] + [(t, h)])
+            ):
+                break
+            added += 1
+            chosen[kind].append((t, h))
+            for x, c in bumps:
+                sig[x][c] += 1
+            if a and (sig[t] > sig[a - 1] or sig[h] > sig[a - 1]):
+                break
+        del chosen[kind][len(chosen[kind]) - added:]
+        for x, c in bumps:
+            sig[x][c] -= added
+        rem[kind] = count
+
+    extend(0)
+    return tuple(reps)
+
+
 def sort_key(g: ColoredGraph):
     """Total order on graphs: (tail, head) data first, then color data.
 
-    Comparing all pair data before any color data makes the form that is
-    minimal over a multigraph's stabilizer sit over that (orbit-minimal)
-    multigraph, which the basis enumerator's one-coloring-per-class test
-    relies on.
+    Comparing all pair data before any color data means that, over the
+    stabilizer of a sorted underlying multigraph, the minimal form differs
+    from the others in its color data only; the basis enumerator's
+    one-coloring-per-class test compares exactly that.
     """
     return (g.v, g.k, tuple(r[:2] for r in g.records), tuple(r[2:] for r in g.records))
 
@@ -283,9 +389,9 @@ def _canonical_records(v, records, parity, perms):
     Returns ``(records, sign)`` or None when an odd automorphism kills the
     class.  ``perms`` is an iterable of (vertex permutation, permutation
     sign) pairs closed under composing with the graph's automorphisms: the
-    refinement-respecting permutations (canonical forms), the stabilizer
-    of an orbit-minimal underlying multigraph (the basis enumerator's
-    test), or all of S_v (the exhaustive reference).
+    refinement-respecting permutations (canonical forms), the full
+    stabilizer of the sorted underlying multigraph (the basis
+    enumerator's test), or all of S_v (the exhaustive reference).
     """
     even = parity is Parity.EVEN
     best = None
@@ -395,25 +501,30 @@ def _arcs_acyclic(v, arcs) -> bool:
     return seen == v
 
 
-def is_connected(g: ColoredGraph) -> bool:
-    """True iff the underlying undirected graph has one component."""
-    if g.v < 1:
-        raise ValueError("graph needs at least one vertex")
-    parent = list(range(g.v))
+def _pairs_connected(v, pairs) -> bool:
+    """True iff the (t, h) pairs join the vertices 0..v-1 into one
+    component (union-find with path halving)."""
+    parent = list(range(v))
 
     def find(x):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
-    comps = g.v
-    for rec in g.records:
-        a, b = find(rec[0]), find(rec[1])
+    comps = v
+    for t, h in pairs:
+        a, b = find(t), find(h)
         if a != b:
             parent[a] = b
             comps -= 1
     return comps == 1
+
+
+def is_connected(g: ColoredGraph) -> bool:
+    """True iff the underlying undirected graph has one component."""
+    if g.v < 1:
+        raise ValueError("graph needs at least one vertex")
+    return _pairs_connected(g.v, g.edges)
 
 
 def valence(g: ColoredGraph, x: int) -> int:

@@ -39,12 +39,14 @@ from .graphs import (
     _arcs_acyclic,
     _cell_perms,
     _inversion_parity,
-    _perms_with_signs,
+    _orbit_reps,
+    _pairs_connected,
     _refine,
     canonicalize,
     is_weakly_passing,
     perm_sign,
 )
+from .complexes import SHAPE_BOUNDS, _acyclic_support_signs
 from .linalg import SparseRationalMatrix, rank
 
 
@@ -150,9 +152,10 @@ def _sk_canonical(sg, parity, perms):
 
     ``perms`` must be closed under composing with the graph's
     automorphisms: the refinement-respecting permutations (canonical
-    forms), the stabilizer of an orbit-minimal structure (the shape
-    enumerator's test, exact there because the key compares pair data
-    first), or all of S_v (the exhaustive reference).
+    forms), the full stabilizer of the sorted underlying structure (the
+    shape enumerator's test, where every image has the structure's pair
+    data and the key compares pair data first), or all of S_v (the
+    exhaustive reference).
     """
     m_even = parity is Parity.EVEN
     best_key = None
@@ -233,24 +236,6 @@ def sk_passing_in_base_color(sg, x, c):
     return heads == 1
 
 
-def sk_connected(sg):
-    parent = list(range(sg.v))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = sg.v
-    for rec in sg.solid + sg.dotted:
-        a, b = find(rec[0]), find(rec[1])
-        if a != b:
-            parent[a] = b
-            comps -= 1
-    return comps == 1
-
-
 def _sk_color_acyclic(sg, c):
     arcs = []
     for rec in sg.solid + sg.dotted:
@@ -274,7 +259,7 @@ def is_valid_special(sg: SkeletonGraph) -> bool:
         return False
     if any(r[0] == r[1] for r in sg.solid):
         return False
-    if not sk_connected(sg):
+    if not _pairs_connected(sg.v, [r[:2] for r in sg.solid + sg.dotted]):
         return False
     for c in range(1, sg.k + 1):
         if not _sk_color_acyclic(sg, c):
@@ -635,55 +620,12 @@ def _family_admits(sg, family, parity):
 
 @lru_cache(maxsize=None)
 def _skeleton_structures(v, n_solid, n_dotted):
-    """Orbit representatives of (directed solid, undirected dotted)
-    edge structures, with stabilizers.
-
-    Only connected structures whose solid part is acyclic survive; both
-    filters are relabeling-invariant, so skipping the others early never
-    loses an orbit."""
-    solid_alpha = [(t, h) for t in range(v) for h in range(v) if t != h]
-    dotted_alpha = [(t, h) for t in range(v) for h in range(t, v)]
-    perms = _perms_with_signs(v)
-    seen = set()
-    out = []
-    for solids in itertools.combinations_with_replacement(solid_alpha, n_solid):
-        if not _arcs_acyclic(v, solids):
-            continue
-        for dotteds in itertools.combinations_with_replacement(dotted_alpha, n_dotted):
-            key = (solids, dotteds)
-            if key in seen:
-                continue
-            if not _structure_connected(v, solids + dotteds):
-                continue
-            stab = []
-            for p, _ in perms:
-                ms = tuple(sorted((p[t], p[h]) for t, h in solids))
-                md = tuple(
-                    sorted((p[t], p[h]) if p[t] <= p[h] else (p[h], p[t]) for t, h in dotteds)
-                )
-                seen.add((ms, md))
-                if (ms, md) == key:
-                    stab.append(p)
-            out.append((solids, dotteds, tuple(stab)))
-    return tuple(out)
-
-
-def _structure_connected(v, pairs):
-    parent = list(range(v))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = v
-    for t, h in pairs:
-        a, b = find(t), find(h)
-        if a != b:
-            parent[a] = b
-            comps -= 1
-    return comps == 1
+    """Orbit representatives of connected (directed acyclic solid,
+    undirected dotted) edge structures, with stabilizers: the labelings
+    with sorted (solid out, solid in, dotted degree, dotted loops)
+    signatures built first by the orbit generator ``_orbit_reps``."""
+    kinds = ((n_solid, True, False), (n_dotted, False, True))
+    return tuple((s, d, stab) for (s, d), stab in _orbit_reps(v, kinds, connected=True))
 
 
 def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
@@ -695,10 +637,9 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     per non-Zero class, and stored as its ``canonicalize_skeleton``
     representative.
     """
-    from .complexes import _acyclic_support_signs
-
     v, k = params.v, params.k
-    if not force and (v > 6 or params.n_solid + 2 * params.n_dotted > 12 or k > 2):
+    e = params.n_solid + 2 * params.n_dotted
+    if not force and (v > SHAPE_BOUNDS["v"] or e > SHAPE_BOUNDS["e"] or k > SHAPE_BOUNDS["k"]):
         raise ValueError(f"shape {params} exceeds default bounds; pass force=True")
     parity = params.parity
     basis = []

@@ -102,3 +102,27 @@ def test_internal_error_exit_code(error, target, argv, capsys, tmp_path, monkeyp
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
     assert str(error).splitlines()[0] in err
+
+
+@pytest.mark.parametrize(
+    "window",
+    ["5:2", "3", "a:b", "0:3", "1:2:3"],
+    ids=["reversed", "no-colon", "not-integer", "below-one", "three-parts"],
+)
+@pytest.mark.parametrize("command", ["enumerate", "homology"])
+def test_malformed_window_is_a_usage_error(command, window, capsys, tmp_path):
+    argv = ["--command", command, "--loop-order", "1", "--vertices-max", "4",
+            "--window", window, "--cache-dir", str(tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --window ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_window_selects_vertex_range(capsys, tmp_path):
+    argv = ["--command", "enumerate", "--loop-order", "1", "--vertices-max", "4",
+            "--window", "2:3", "--constraints", "connected", "--cache-dir", str(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert [row["v"] for row in json.loads(out)["rows"]] == [2, 3]
