@@ -36,6 +36,7 @@ from .complexes import (
     SliceParams,
     differential_matrix,
     enumerate_basis,
+    homology_dims,
     slice_chain,
 )
 from .skeleton import SkeletonClosureError, SkeletonFamily, skeleton_homology_dims
@@ -103,8 +104,18 @@ def make_parser():
 
 
 def check_args(args):
-    """Usage errors caught before any work: bounds over the defaults
-    without --force, and a malformed --window."""
+    """Usage errors caught before any work: a count out of range, bounds
+    over the defaults without --force, and a malformed --window."""
+    for flag, value, low in (
+        ("--colors", args.colors, 0),
+        ("--workers", args.workers, 1),
+        ("--edges-max", args.edges_max, 0),
+        ("--vertices-max", args.vertices_max, 1),
+    ):
+        if value < low:
+            raise UsageError(f"{flag} must be at least {low}, got {value}")
+    if args.command == "verify-thm1" and args.loop_order is not None and args.loop_order < 1:
+        raise UsageError(f"verify-thm1 needs --loop-order at least 1, got {args.loop_order}")
     over = args.vertices_max > BOUNDS["v"] or args.edges_max > BOUNDS["e"] or args.colors > BOUNDS["k"]
     if over and not args.force:
         raise UsageError(f"requested bounds exceed defaults {BOUNDS}; pass --force to override")
@@ -117,22 +128,19 @@ class UsageError(Exception):
 
 
 def run_jobs(jobs, workers):
-    """Evaluate (key, fn, args) jobs; results sorted by key."""
+    """Evaluate (key, fn, args) jobs; results sorted by key.  ``fn`` is a
+    module-level function, which the process pool pickles by name."""
     results = []
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(key, pool.submit(_dispatch, fn, args)) for key, fn, args in jobs]
+            futures = [(key, pool.submit(fn, *args)) for key, fn, args in jobs]
             for key, fut in futures:
                 results.append((key, fut.result()))
     else:
         for key, fn, args in jobs:
-            results.append((key, _dispatch(fn, args)))
+            results.append((key, fn(*args)))
     results.sort(key=lambda kv: kv[0])
     return results
-
-
-def _dispatch(fn, args):
-    return JOBS[fn](*args)
 
 
 def _job_enumerate(v, e, k, n, constraints_value, force):
@@ -172,8 +180,6 @@ def _job_dsq_chain(b, k, n, constraints_value, v_max, e_max, force):
 def _job_homology(b, k, n, constraints_value, v_max, force):
     constraints = frozenset(Constraint(c) for c in constraints_value)
     chain = slice_chain(b, k, n, constraints, v_max=v_max + 1, force=force)
-    from .complexes import homology_dims
-
     rows = []
     for v, degree, dim in homology_dims(chain):
         if v <= v_max:
@@ -219,8 +225,6 @@ def _job_thm1(b, n, force):
 def _job_props_valence(b, k, n, v_max, force):
     full = frozenset({Constraint.CONNECTED})
     atleast2 = frozenset({Constraint.CONNECTED, Constraint.MIN_VALENCE_2})
-    from .complexes import homology_dims
-
     rows = []
     dims = {}
     for label, cons in (("full", full), ("min2", atleast2)):
@@ -260,17 +264,6 @@ def _job_props_quotient(b, family_value, m, force):
     return rows
 
 
-JOBS = {
-    "enumerate": _job_enumerate,
-    "dsq": _job_dsq_chain,
-    "homology": _job_homology,
-    "chain": _job_chain_slice,
-    "thm1": _job_thm1,
-    "props_valence": _job_props_valence,
-    "props_quotient": _job_props_quotient,
-}
-
-
 def cmd_enumerate(args):
     constraints = parse_constraints(args.constraints)
     cvalue = tuple(sorted(c.value for c in constraints))
@@ -284,7 +277,7 @@ def cmd_enumerate(args):
         else:
             e_list = range(0, args.edges_max + 1)
         for e in e_list:
-            jobs.append(((v, e), "enumerate", (v, e, args.colors, args.n, cvalue, args.force)))
+            jobs.append(((v, e), _job_enumerate, (v, e, args.colors, args.n, cvalue, args.force)))
     results = run_jobs(jobs, args.workers)
     return [row for _, row in results], True
 
@@ -307,7 +300,8 @@ def cmd_verify_dsq(args):
     cvalue = tuple(sorted(c.value for c in constraints))
     jobs = []
     for b in range(-1, args.edges_max - 1 + 1):
-        jobs.append((b, "dsq", (b, args.colors, args.n, cvalue, args.vertices_max, args.edges_max, args.force)))
+        job_args = (b, args.colors, args.n, cvalue, args.vertices_max, args.edges_max, args.force)
+        jobs.append((b, _job_dsq_chain, job_args))
     results = run_jobs(jobs, args.workers)
     rows = [row for _, chunk in results for row in chunk]
     return rows, all(r["value"] == "pass" for r in rows)
@@ -322,7 +316,7 @@ def cmd_verify_chain(args):
     for v in range(1, v_hi + 1):
         for e in range(v - 1, e_hi + 1):
             if 3 * v <= 2 * e:
-                jobs.append(((v, e), "chain", (v, e, args.n, args.force)))
+                jobs.append(((v, e), _job_chain_slice, (v, e, args.n, args.force)))
     results = run_jobs(jobs, args.workers)
     rows = [row for _, row in results]
     return rows, all(r["value"] == "pass" for r in rows)
@@ -330,7 +324,7 @@ def cmd_verify_chain(args):
 
 def cmd_verify_thm1(args):
     orders = [args.loop_order] if args.loop_order is not None else [1, 2]
-    jobs = [(b, "thm1", (b, args.n, args.force)) for b in orders]
+    jobs = [(b, _job_thm1, (b, args.n, args.force)) for b in orders]
     results = run_jobs(jobs, args.workers)
     rows = [row for _, chunk in results for row in chunk]
     return rows, all(r["value"].startswith("pass") for r in rows)
@@ -339,11 +333,13 @@ def cmd_verify_thm1(args):
 def cmd_verify_props(args):
     jobs = []
     for b in (-1, 0, 1):
-        jobs.append((("valence", b), "props_valence", (b, args.colors, args.n, args.vertices_max, args.force)))
+        job_args = (b, args.colors, args.n, args.vertices_max, args.force)
+        jobs.append((("valence", b), _job_props_valence, job_args))
     m = args.n if args.n % 2 == 1 else args.n + 1
     for b in (1, 2):
         for family in (SkeletonFamily.TADPOLE_SUB, SkeletonFamily.MULTI_SUB):
-            jobs.append((("quotient", b, family.value), "props_quotient", (b, family.value, m, args.force)))
+            job_args = (b, family.value, m, args.force)
+            jobs.append((("quotient", b, family.value), _job_props_quotient, job_args))
     results = run_jobs(jobs, args.workers)
     rows = [row for _, chunk in results for row in chunk]
     return rows, all(str(r["value"]).startswith("pass") for r in rows)

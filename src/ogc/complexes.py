@@ -25,8 +25,9 @@ from .graphs import (
     ColoredGraph,
     Parity,
     TermVector,
-    _arcs_acyclic,
-    _canonical_records,
+    GRAPH_KINDS,
+    _color_acyclic,
+    _normal_form,
     _orbit_reps,
     _pairs_connected,
     canonicalize,
@@ -35,7 +36,7 @@ from .graphs import (
     sort_key,
     to_text,
 )
-from .linalg import SparseRationalMatrix, rank
+from .linalg import SparseRationalMatrix, homology
 
 
 class Constraint(enum.Enum):
@@ -214,8 +215,8 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
                 d == 2 and is_passing(g, x) for x, d in enumerate(M.degrees)
             ):
                 continue
-            out = _canonical_records(params.v, records, parity, stab_signed)
-            if out is None or out[0] != records:
+            out = _normal_form((records,), GRAPH_KINDS, parity, stab_signed)
+            if out is None or out[0] != (records,):
                 # zero class, or a non-canonical labeling of one
                 continue
             cls = canonicalize(g, parity)
@@ -258,14 +259,10 @@ def contract_edge(g: ColoredGraph, t: int, parity: Parity) -> TermVector:
     new_records = tuple(
         (relabel(r[0]), relabel(r[1])) + r[2:] for i, r in enumerate(g.records) if i != t - 1
     )
-    contracted = ColoredGraph(g.v - 1, g.k, new_records)
     for c in range(1, g.k + 1):
-        arcs = [
-            (r[0], r[1]) if r[1 + c] > 0 else (r[1], r[0]) for r in contracted.records
-        ]
-        if not _arcs_acyclic(contracted.v, arcs):
+        if not _color_acyclic(g.v - 1, new_records, c):
             return out
-    out.add_class(canonicalize(contracted, parity), sign)
+    out.add_class(canonicalize(ColoredGraph(g.v - 1, g.k, new_records), parity), sign)
     return out
 
 
@@ -325,18 +322,17 @@ class BasisClosureError(RuntimeError):
     pass
 
 
-def differential_matrix(src: BasisSlice, dst: BasisSlice, parity=None) -> SparseRationalMatrix:
+def differential_matrix(src: BasisSlice, dst: BasisSlice) -> SparseRationalMatrix:
     """Matrix of the differential from src to dst (column j = image of
     basis element j).  A term missing from dst is a basis-closure bug and
     raises instead of being dropped."""
     sp, dp = src.params, dst.params
     if (dp.v, dp.e, dp.k, dp.n, dp.constraints) != (sp.v - 1, sp.e - 1, sp.k, sp.n, sp.constraints):
         raise ValueError("dst params must equal src params shifted by (v-1, e-1)")
-    parity = sp.parity if parity is None else parity
     index = dst.index()
     m = SparseRationalMatrix(len(dst.basis), len(src.basis))
     for j, g in enumerate(src.basis):
-        vec = differential_in_slice(g, parity, sp.constraints)
+        vec = differential_in_slice(g, sp.parity, sp.constraints)
         for rep, coeff in vec.terms.items():
             i = index.get(rep)
             if i is None:
@@ -347,11 +343,11 @@ def differential_matrix(src: BasisSlice, dst: BasisSlice, parity=None) -> Sparse
     return m
 
 
-def slice_chain(b, k, n, constraints, v_max, v_min=1, force=False):
-    """Slices with loop number b for v = v_max down to v_min, in the
-    order the differential maps them."""
+def slice_chain(b, k, n, constraints, v_max, force=False):
+    """Slices with loop number b for v = v_max down to 1, in the order the
+    differential maps them."""
     out = []
-    for v in range(v_max, v_min - 1, -1):
+    for v in range(v_max, 0, -1):
         e = v + b
         if e < 0:
             continue
@@ -360,7 +356,7 @@ def slice_chain(b, k, n, constraints, v_max, v_min=1, force=False):
     return out
 
 
-def homology_dims(chain, parity=None):
+def homology_dims(chain):
     """Homology dimensions of a chain of slices ordered by decreasing v.
 
     Boundary slices use zero maps, so the first and last entries are only
@@ -370,18 +366,8 @@ def homology_dims(chain, parity=None):
     for a, b in zip(chain, chain[1:]):
         if (b.params.v, b.params.e) != (a.params.v - 1, a.params.e - 1):
             raise ValueError("chain slices must step down by one vertex and one edge")
-    if not chain:
-        return []
-    parity = chain[0].params.parity if parity is None else parity
-    ranks = []
-    for a, b in zip(chain, chain[1:]):
-        if len(a) == 0 or len(b) == 0:
-            ranks.append(0)
-        else:
-            ranks.append(rank(differential_matrix(a, b, parity)))
-    rows = []
-    for i, sl in enumerate(chain):
-        out_rank = ranks[i] if i < len(ranks) else 0
-        in_rank = ranks[i - 1] if i > 0 else 0
-        rows.append((sl.params.v, sl.degree, len(sl) - out_rank - in_rank))
-    return rows
+    maps = {
+        a.params.v: differential_matrix(a, b) for a, b in zip(chain, chain[1:]) if len(a) and len(b)
+    }
+    dims = homology({sl.params.v: len(sl) for sl in chain}, maps)
+    return [(sl.params.v, sl.degree, dims[sl.params.v]) for sl in chain]

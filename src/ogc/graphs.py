@@ -24,13 +24,17 @@ Conventions used throughout the package:
   ``Zero`` value.
 
 Canonical forms come from one labeling engine shared with the skeleton
-complex: color refinement (``_refine``) splits the vertices into an
-ordered partition that every isomorphism respects, and a normalization
-kernel takes the minimal form over the permutations that map each cell
-onto its own block of positions (``_cell_perms``), not over all v! of
-them.  This is the refinement half of McKay & Piperno, "Practical graph
-isomorphism II", J. Symbolic Comput. 60 (2014), without
-individualization.
+complex.  It sees a graph as a tuple of typed edge kinds (``EdgeKind``):
+each kind says whether its arrows reverse and under which parity an
+arrow reversal or a swap of two of its labels is odd.  A ColoredGraph is
+one kind (``GRAPH_KINDS``), a solid/dotted skeleton two
+(``SKELETON_KINDS``).  Color refinement (``_refine``, fed by
+``_edge_ends``) splits the vertices into an ordered partition that every
+isomorphism respects, and the normalization kernel ``_normal_form`` takes
+the minimal form over the permutations that map each cell onto its own
+block of positions (``_cell_perms``), not over all v! of them.  This is
+the refinement half of McKay & Piperno, "Practical graph isomorphism
+II", J. Symbolic Comput. 60 (2014), without individualization.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class Parity(enum.Enum):
@@ -197,19 +202,19 @@ def _perms_with_signs(v: int):
 def _refine(v, nbrs):
     """Color refinement (1-WL) to a stable ordered partition of 0..v-1.
 
-    ``nbrs[x]`` lists ``(y, data)`` for every edge end at x, where y is
-    the far end and ``data`` describes the edge as seen from x; it must
-    not change when the edge is reversed.  Each round a vertex's new
-    class is the rank of its old class together with the sorted
-    (neighbor class, data) pairs it sees.  Nothing depends on vertex
-    labels, so a relabeled graph gets the relabeled cells in the same
-    order.  Returns the cells as lists, in class order.
+    ``nbrs[x]`` lists ``(y, tag, data)`` for every edge end at x, where y
+    is the far end and the tag and ``data`` describe the edge as seen from
+    x; they must not change when the edge is reversed.  Each round a
+    vertex's new class is the rank of its old class together with the
+    sorted (neighbor class, tag, data) triples it sees.  Nothing depends
+    on vertex labels, so a relabeled graph gets the relabeled cells in the
+    same order.  Returns the cells as lists, in class order.
     """
     classes = [0] * v
     count = 1 if v else 0
     while True:
         sigs = [
-            (classes[x], tuple(sorted((classes[y], d) for y, d in nbrs[x])))
+            (classes[x], tuple(sorted((classes[y], tag, d) for y, tag, d in nbrs[x])))
             for x in range(v)
         ]
         rank_of = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -221,17 +226,6 @@ def _refine(v, nbrs):
     for x in range(v):
         cells[classes[x]].append(x)
     return cells
-
-
-def _edge_ends(g: ColoredGraph):
-    """Refinement input of a graph: at each end of an edge, the far end
-    and the color signs pointing away from this end."""
-    nbrs = [[] for _ in range(g.v)]
-    for rec in g.records:
-        cs = rec[2:]
-        nbrs[rec[0]].append((rec[1], cs))
-        nbrs[rec[1]].append((rec[0], tuple(-s for s in cs)))
-    return nbrs
 
 
 def _cell_perms(cells):
@@ -379,70 +373,117 @@ def sort_key(g: ColoredGraph):
     return (g.v, g.k, tuple(r[:2] for r in g.records), tuple(r[2:] for r in g.records))
 
 
-def _records_key(records):
-    return (tuple(r[:2] for r in records), tuple(r[2:] for r in records))
+class EdgeKind(NamedTuple):
+    """Relabeling rules of one edge kind.
 
-
-def _canonical_records(v, records, parity, perms):
-    """Minimal normalized record tuple with sign over the given vertex perms.
-
-    Returns ``(records, sign)`` or None when an odd automorphism kills the
-    class.  ``perms`` is an iterable of (vertex permutation, permutation
-    sign) pairs closed under composing with the graph's automorphisms: the
-    refinement-respecting permutations (canonical forms), the full
-    stabilizer of the sorted underlying multigraph (the basis
-    enumerator's test), or all of S_v (the exhaustive reference).
+    ``reversible``: an arrow of this kind may be reversed, negating its
+    color signs, and such an edge may be a tadpole.  ``reversal_odd`` and
+    ``labels_odd``: the parity under which reversing one arrow, resp.
+    swapping two edge labels of this kind, flips the sign (None: never).
     """
-    even = parity is Parity.EVEN
-    best = None
-    best_key = None
+
+    reversible: bool
+    reversal_odd: Parity | None
+    labels_odd: Parity
+
+
+# vertex swaps are odd for odd parity in both complexes
+GRAPH_KINDS = (EdgeKind(True, Parity.ODD, Parity.EVEN),)
+# solid arrows are pinned to the last color; dotted ones reverse
+SKELETON_KINDS = (EdgeKind(False, None, Parity.EVEN), EdgeKind(True, Parity.EVEN, Parity.ODD))
+
+
+def _edge_ends(v, edges, kinds):
+    """Refinement input of a typed-edge graph (one record tuple per kind):
+    at each edge end, the far end, the tag ``2 * kind + end`` and the color
+    signs pointing away from this end, none of which a reversal changes.
+    ``end`` is 1 at the head of a pinned arrow and at a reversible
+    tadpole, whose signs are taken up to reversal, and 0 otherwise."""
+    nbrs = [[] for _ in range(v)]
+    for i, (records, kind) in enumerate(zip(edges, kinds)):
+        out_tag, in_tag = 2 * i, 2 * i + (not kind.reversible)
+        for rec in records:
+            t, h, cs = rec[0], rec[1], rec[2:]
+            neg = tuple(-s for s in cs)
+            if t == h and kind.reversible:
+                nbrs[t].append((t, 2 * i + 1, min(cs, neg)))
+            else:
+                nbrs[t].append((h, out_tag, cs))
+                nbrs[h].append((t, in_tag, neg))
+    return nbrs
+
+
+def _normal_form(edges, kinds, parity, perms):
+    """Minimal normalized form with sign over the given vertex perms, or
+    None when an odd automorphism kills the class.
+
+    ``edges`` holds one tuple of flat records per kind in ``kinds``.  Each
+    relabeling reverses the reversible edges so that tail < head (a
+    tadpole takes the smaller of its two sign rows) and sorts each kind's
+    records, folding in the sign rules of the parity (a vertex relabeling
+    is odd for odd parity, the kinds say the rest); forms compare by the
+    pair data of every kind before any color data.  ``perms`` is an
+    iterable of (vertex permutation, permutation sign) pairs closed under
+    composing with the graph's automorphisms: the refinement-respecting
+    permutations (canonical forms), the full stabilizer of a sorted
+    underlying structure (the basis enumerators' test, where every image
+    has the structure's pair data), or all of S_v (the exhaustive
+    reference).
+    """
+    vertices_odd = parity is Parity.ODD
+    best = best_key = None
     best_sign = 0
     for perm, psign in perms:
-        sign = 1 if even else psign
-        recs = []
-        for rec in records:
-            t = perm[rec[0]]
-            h = perm[rec[1]]
-            if t > h:
-                if not even:
-                    sign = -sign
-                recs.append((h, t) + tuple(-s for s in rec[2:]))
-            else:
-                recs.append((t, h) + rec[2:])
-        if even:
+        sign = psign if vertices_odd else 1
+        form = []
+        for records, kind in zip(edges, kinds):
+            reversible, reversal_odd = kind.reversible, kind.reversal_odd is parity
+            recs = []
+            for rec in records:
+                t, h, cs = perm[rec[0]], perm[rec[1]], rec[2:]
+                if reversible and t >= h:
+                    neg = tuple(-s for s in cs)
+                    if t > h or neg < cs:
+                        t, h, cs = h, t, neg
+                        if reversal_odd:
+                            sign = -sign
+                    elif neg == cs and reversal_odd:
+                        # reversing the tadpole is an odd automorphism
+                        return None
+                recs.append((t, h) + cs)
             srt = sorted(recs)
-            dup = any(srt[i] == srt[i + 1] for i in range(len(srt) - 1))
-            if dup:
-                return None
-            sign *= _inversion_parity(recs)
-            recs = srt
-        else:
-            recs.sort()
-        key = (tuple(r[:2] for r in recs), tuple(r[2:] for r in recs))
+            if kind.labels_odd is parity:
+                if any(srt[i] == srt[i + 1] for i in range(len(srt) - 1)):
+                    return None
+                sign *= _inversion_parity(recs)
+            form.append(tuple(srt))
+        # each kind has the same record count in every form, so the flat
+        # list compares like the per-kind tuples of pair, then color data
+        key = [r[:2] for rs in form for r in rs] + [r[2:] for rs in form for r in rs]
         if best_key is None or key < best_key:
-            best = tuple(recs)
-            best_key = key
-            best_sign = sign
+            best, best_key, best_sign = tuple(form), key, sign
         elif key == best_key and sign != best_sign:
             return None
     return best, best_sign
 
 
-def canonicalize(g: ColoredGraph, parity: Parity) -> CanonicalClass:
-    """Canonical representative of g's signed symmetry class.
+def _canonical_form(v, edges, kinds, parity):
+    """Canonical (form, sign) of a typed-edge graph, or None for Zero: the
+    kernel over the relabelings that respect the refined cells."""
+    cells = _refine(v, _edge_ends(v, edges, kinds))
+    return _normal_form(edges, kinds, parity, _cell_perms(cells))
 
-    Refines the vertices by their edge ends (far class and color signs
-    pointing away from the vertex) and sweeps the cell-respecting
-    relabelings only; for each, reverses edges so that tail < head and
-    sorts the records, folding the sign rules of the parity.  Two
+
+def canonicalize(g: ColoredGraph, parity: Parity) -> CanonicalClass:
+    """Canonical representative of g's signed symmetry class, or ZERO:
+    the records are one reversible edge kind (``GRAPH_KINDS``).  Two
     relabelings reaching the same normal form with opposite signs witness
     an odd automorphism and yield Zero.
     """
-    cells = _refine(g.v, _edge_ends(g))
-    out = _canonical_records(g.v, g.records, parity, _cell_perms(cells))
+    out = _canonical_form(g.v, (g.records,), GRAPH_KINDS, parity)
     if out is None:
         return ZERO
-    recs, sign = out
+    (recs,), sign = out
     return CanonicalClass(ColoredGraph(g.v, g.k, recs), sign)
 
 
@@ -474,13 +515,12 @@ def is_acyclic_in_color(g: ColoredGraph, c: int) -> bool:
     """True iff the color-c orientation of g has no directed cycle."""
     if not (1 <= c <= g.k):
         raise ValueError(f"color {c} out of range 1..{g.k}")
-    arcs = []
-    for rec in g.records:
-        if rec[1 + c] > 0:
-            arcs.append((rec[0], rec[1]))
-        else:
-            arcs.append((rec[1], rec[0]))
-    return _arcs_acyclic(g.v, arcs)
+    return _color_acyclic(g.v, g.records, c)
+
+
+def _color_acyclic(v, records, c) -> bool:
+    """True iff color c orients the flat records without a directed cycle."""
+    return _arcs_acyclic(v, [(r[0], r[1]) if r[1 + c] > 0 else (r[1], r[0]) for r in records])
 
 
 def _arcs_acyclic(v, arcs) -> bool:
@@ -535,15 +575,16 @@ def valence(g: ColoredGraph, x: int) -> int:
 
 def is_passing_in_color(g: ColoredGraph, x: int, c: int) -> bool:
     """2-valent with color-c in-degree 1 and out-degree 1 at x."""
-    incident = [rec for rec in g.records if x in rec[:2]]
-    if len(incident) != 2 or incident[0][0] == incident[0][1]:
+    return _passing_in_color(g.records, x, c)
+
+
+def _passing_in_color(records, x, c) -> bool:
+    """x ends exactly two of the flat records, neither a tadpole, and is
+    the color-c head of one of them."""
+    incident = [rec for rec in records if x in rec[:2]]
+    if len(incident) != 2 or any(rec[0] == rec[1] for rec in incident):
         return False
-    heads = 0
-    for rec in incident:
-        head = rec[1] if rec[1 + c] > 0 else rec[0]
-        if head == x:
-            heads += 1
-    return heads == 1
+    return sum((rec[1] if rec[1 + c] > 0 else rec[0]) == x for rec in incident) == 1
 
 
 def is_passing(g: ColoredGraph, x: int) -> bool:

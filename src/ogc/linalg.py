@@ -72,29 +72,25 @@ def matrix_from_columns(rows, columns) -> SparseRationalMatrix:
     return m
 
 
-def rank(m: SparseRationalMatrix) -> int:
-    """Exact rank over the rationals by sparse Gaussian elimination
-    (rows held as dicts, pivots chosen to limit fill)."""
-    rows = {}
-    for (r, c), v in m.data.items():
-        rows.setdefault(r, {})[c] = v
-    rows = list(rows.values())
+def _eliminate(rows, inverse, reduce) -> int:
+    """Rank of a list of sparse rows ({col: value} dicts, none empty) by
+    Gaussian elimination, pivots chosen to limit fill.  ``inverse`` and
+    ``reduce`` are the field's reciprocal and the normalization applied
+    to every computed entry."""
     rk = 0
     while rows:
         pivot_row = min(rows, key=len)
         rows.remove(pivot_row)
-        if not pivot_row:
-            continue
         rk += 1
         pc = min(pivot_row)
-        pv = pivot_row[pc]
+        inv = inverse(pivot_row[pc])
         reduced = []
         for row in rows:
             x = row.get(pc)
             if x is not None:
-                factor = x / pv
+                factor = reduce(x * inv)
                 for c, v in pivot_row.items():
-                    nv = row.get(c, Fraction(0)) - factor * v
+                    nv = reduce(row.get(c, 0) - factor * v)
                     if nv:
                         row[c] = nv
                     else:
@@ -103,6 +99,14 @@ def rank(m: SparseRationalMatrix) -> int:
                 reduced.append(row)
         rows = reduced
     return rk
+
+
+def rank(m: SparseRationalMatrix) -> int:
+    """Exact rank over the rationals by sparse Gaussian elimination."""
+    rows = {}
+    for (r, c), v in m.data.items():
+        rows.setdefault(r, {})[c] = v
+    return _eliminate(list(rows.values()), lambda x: 1 / x, lambda x: x)
 
 
 def rank_mod_p(m: SparseRationalMatrix, p: int = CHECK_PRIME) -> int:
@@ -113,36 +117,21 @@ def rank_mod_p(m: SparseRationalMatrix, p: int = CHECK_PRIME) -> int:
     """
     rows = {}
     for (r, c), v in m.data.items():
-        num = v.numerator % p
-        den = pow(v.denominator % p, p - 2, p)
-        val = (num * den) % p
+        val = v.numerator * pow(v.denominator % p, p - 2, p) % p
         if val:
             rows.setdefault(r, {})[c] = val
-    rows = list(rows.values())
-    rk = 0
-    while rows:
-        pivot_row = min(rows, key=len)
-        rows.remove(pivot_row)
-        if not pivot_row:
-            continue
-        rk += 1
-        pc = min(pivot_row)
-        inv = pow(pivot_row[pc], p - 2, p)
-        reduced = []
-        for row in rows:
-            x = row.get(pc)
-            if x is not None:
-                factor = (x * inv) % p
-                for c, v in pivot_row.items():
-                    nv = (row.get(c, 0) - factor * v) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            if row:
-                reduced.append(row)
-        rows = reduced
-    return rk
+    return _eliminate(list(rows.values()), lambda x: pow(x, p - 2, p), lambda x: x % p)
+
+
+def homology(dims, maps):
+    """Homology dimensions of a chain complex from the ranks of its maps.
+
+    ``dims`` maps each slice index i to the slice's dimension, ``maps``
+    maps i to the matrix of the differential from slice i to slice i - 1;
+    a missing map is zero.  Each map is ranked once.  Returns {i: dim}.
+    """
+    ranks = {i: rank(m) for i, m in maps.items()}
+    return {i: d - ranks.get(i, 0) - ranks.get(i + 1, 0) for i, d in dims.items()}
 
 
 def kernel_basis(m: SparseRationalMatrix):
@@ -184,6 +173,3 @@ def kernel_basis(m: SparseRationalMatrix):
             out.append(dict(combo))
     return out
 
-
-def rank_of_columns(rows, columns) -> int:
-    return rank(matrix_from_columns(rows, columns))

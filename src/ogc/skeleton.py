@@ -16,6 +16,10 @@ Parities (m is the complex's own grading parameter):
 * reversing a dotted arrow is odd for m even (opposite parity),
 * solid arrows are pinned to the last color and are never reversed.
 
+These rules are declared as the two edge kinds ``graphs.SKELETON_KINDS``,
+and the graph module's typed-edge kernel applies them, so canonical forms
+of both complexes come from the same code.
+
 All differential signs below are anchored to the expanded picture in
 the full (k+1)-colored complex, where middle vertices are labeled after
 all skeleton vertices, in dotted-record order, and each dotted edge
@@ -33,21 +37,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import (
+    SKELETON_KINDS,
     ColoredGraph,
     Parity,
     TermVector,
     _arcs_acyclic,
-    _cell_perms,
-    _inversion_parity,
+    _canonical_form,
+    _color_acyclic,
+    _normal_form,
     _orbit_reps,
     _pairs_connected,
-    _refine,
+    _passing_in_color,
     canonicalize,
     is_weakly_passing,
     perm_sign,
 )
 from .complexes import SHAPE_BOUNDS, _acyclic_support_signs
-from .linalg import SparseRationalMatrix, rank
+from .linalg import SparseRationalMatrix, homology
 
 
 @dataclass(frozen=True)
@@ -107,108 +113,14 @@ class SkeletonClass:
 SK_ZERO = SkeletonClass(None, 0)
 
 
-# edge-end tags for refinement: a solid arrow is pinned, so its two ends
-# differ; a dotted arrow reverses, so both ends look alike
-_SOLID_OUT, _SOLID_IN, _DOTTED, _DOTTED_TADPOLE = range(4)
-
-
-def _sk_edge_ends(sg: SkeletonGraph):
-    """Refinement input of a skeleton: at each edge end, the far end, the
-    end's tag and the base color signs pointing away from this end.  A
-    tadpole's signs are taken up to reversal."""
-    nbrs = [[] for _ in range(sg.v)]
-    for rec in sg.solid:
-        cs = rec[2:]
-        nbrs[rec[0]].append((rec[1], (_SOLID_OUT, cs)))
-        nbrs[rec[1]].append((rec[0], (_SOLID_IN, tuple(-s for s in cs))))
-    for rec in sg.dotted:
-        cs = rec[2:]
-        neg = tuple(-s for s in cs)
-        if rec[0] == rec[1]:
-            nbrs[rec[0]].append((rec[0], (_DOTTED_TADPOLE, min(cs, neg))))
-        else:
-            nbrs[rec[0]].append((rec[1], (_DOTTED, cs)))
-            nbrs[rec[1]].append((rec[0], (_DOTTED, neg)))
-    return nbrs
-
-
 def canonicalize_skeleton(sg: SkeletonGraph, parity: Parity) -> SkeletonClass:
-    """Canonical representative of sg's signed class, or SK_ZERO.
-
-    Runs the graph engine: vertices are refined by their tagged edge ends,
-    and the normalization sweeps the cell-respecting relabelings only.
-    """
-    cells = _refine(sg.v, _sk_edge_ends(sg))
-    out = _sk_canonical(sg, parity, _cell_perms(cells))
+    """Canonical representative of sg's signed class, or SK_ZERO: the
+    graph engine on the solid and dotted kinds (``SKELETON_KINDS``)."""
+    out = _canonical_form(sg.v, (sg.solid, sg.dotted), SKELETON_KINDS, parity)
     if out is None:
         return SK_ZERO
     (solid, dotted), sign = out
     return SkeletonClass(SkeletonGraph(sg.v, sg.k, solid, dotted), sign)
-
-
-def _sk_canonical(sg, parity, perms):
-    """Normalization kernel: minimal normalized form with sign over the
-    given (vertex permutation, sign) pairs, or None for a zero class.
-
-    ``perms`` must be closed under composing with the graph's
-    automorphisms: the refinement-respecting permutations (canonical
-    forms), the full stabilizer of the sorted underlying structure (the
-    shape enumerator's test, where every image has the structure's pair
-    data and the key compares pair data first), or all of S_v (the
-    exhaustive reference).
-    """
-    m_even = parity is Parity.EVEN
-    best_key = None
-    best = None
-    best_sign = 0
-    for perm, psign in perms:
-        sign = 1 if m_even else psign
-        solids = []
-        for rec in sg.solid:
-            solids.append((perm[rec[0]], perm[rec[1]]) + rec[2:])
-        dotteds = []
-        for rec in sg.dotted:
-            t, h = perm[rec[0]], perm[rec[1]]
-            cs = rec[2:]
-            if t > h:
-                t, h = h, t
-                cs = tuple(-s for s in cs)
-                if m_even:
-                    sign = -sign
-            elif t == h:
-                flipped = tuple(-s for s in cs)
-                if flipped < cs:
-                    cs = flipped
-                    if m_even:
-                        sign = -sign
-                elif flipped == cs and m_even:
-                    # reversing the tadpole arrow is an odd automorphism
-                    return None
-            dotteds.append((t, h) + cs)
-        solid_sorted = sorted(solids)
-        dotted_sorted = sorted(dotteds)
-        if m_even:
-            if any(solid_sorted[i] == solid_sorted[i + 1] for i in range(len(solid_sorted) - 1)):
-                return None
-            sign *= _inversion_parity(solids)
-        else:
-            if any(dotted_sorted[i] == dotted_sorted[i + 1] for i in range(len(dotted_sorted) - 1)):
-                return None
-            sign *= _inversion_parity(dotteds)
-        form = (tuple(solid_sorted), tuple(dotted_sorted))
-        key = (
-            tuple(r[:2] for r in solid_sorted),
-            tuple(r[:2] for r in dotted_sorted),
-            tuple(r[2:] for r in solid_sorted),
-            tuple(r[2:] for r in dotted_sorted),
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best = form
-            best_sign = sign
-        elif key == best_key and sign != best_sign:
-            return None
-    return best, best_sign
 
 
 # ---------------------------------------------------------------------------
@@ -220,30 +132,6 @@ def sk_valence(sg, x):
     for rec in sg.solid + sg.dotted:
         out += (rec[0] == x) + (rec[1] == x)
     return out
-
-
-def sk_passing_in_base_color(sg, x, c):
-    """In-degree 1 and out-degree 1 at the 2-valent vertex x in base
-    color c, counting both edge kinds."""
-    incident = [rec for rec in sg.solid + sg.dotted if x in rec[:2]]
-    if len(incident) != 2 or any(rec[0] == rec[1] for rec in incident):
-        return False
-    heads = 0
-    for rec in incident:
-        head = rec[1] if rec[1 + c] > 0 else rec[0]
-        if head == x:
-            heads += 1
-    return heads == 1
-
-
-def _sk_color_acyclic(sg, c):
-    arcs = []
-    for rec in sg.solid + sg.dotted:
-        if rec[1 + c] > 0:
-            arcs.append((rec[0], rec[1]))
-        else:
-            arcs.append((rec[1], rec[0]))
-    return _arcs_acyclic(sg.v, arcs)
 
 
 def _sk_last_color_acyclic(sg):
@@ -262,7 +150,7 @@ def is_valid_special(sg: SkeletonGraph) -> bool:
     if not _pairs_connected(sg.v, [r[:2] for r in sg.solid + sg.dotted]):
         return False
     for c in range(1, sg.k + 1):
-        if not _sk_color_acyclic(sg, c):
+        if not _color_acyclic(sg.v, sg.solid + sg.dotted, c):
             return False
     if not _sk_last_color_acyclic(sg):
         return False
@@ -274,7 +162,7 @@ def is_valid_special(sg: SkeletonGraph) -> bool:
             continue
         if val < 2:
             return False
-        if all(sk_passing_in_base_color(sg, x, c) for c in range(1, sg.k + 1)):
+        if all(_passing_in_color(sg.solid + sg.dotted, x, c) for c in range(1, sg.k + 1)):
             # passing in every base color: either fully passing or an
             # unreduced string interior; excluded either way
             return False
@@ -331,14 +219,8 @@ def _merged_vertex_cases(k, new_solid, new_dotted, p):
     if len(incident) != 2:
         return "keep"
     # base-color passing test at the 2-valent p
-    for c in range(1, k + 1):
-        heads = 0
-        for _, _, rec in incident:
-            head = rec[1] if rec[1 + c] > 0 else rec[0]
-            if head == p:
-                heads += 1
-        if heads != 1:
-            return "keep"
+    if not all(_passing_in_color(new_solid + new_dotted, p, c) for c in range(1, k + 1)):
+        return "keep"
     if any(kind == "d" for kind, _, _ in incident):
         return "drop"
     (_, i1, r1), (_, i2, r2) = incident
@@ -379,7 +261,7 @@ def contract_solid(sg: SkeletonGraph, j: int, parity: Parity) -> TermVector:
     v_new = sg.v - 1
     candidate = SkeletonGraph(v_new, sg.k, tuple(new_solid), tuple(new_dotted))
     for c in range(1, sg.k + 1):
-        if not _sk_color_acyclic(candidate, c):
+        if not _color_acyclic(v_new, candidate.solid + candidate.dotted, c):
             return out
     if not _sk_last_color_acyclic(candidate):
         return out
@@ -666,11 +548,8 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
             sg = SkeletonGraph(v, k, tuple(sorted(solid_recs)), tuple(sorted(dotted_recs)))
             if not _family_admits(sg, params.family, parity):
                 continue
-            out = _sk_canonical(sg, parity, stab_signed)
-            if out is None:
-                continue
-            (best_solid, best_dotted), _ = out
-            if (best_solid, best_dotted) != (sg.solid, sg.dotted):
+            out = _normal_form((sg.solid, sg.dotted), SKELETON_KINDS, parity, stab_signed)
+            if out is None or out[0] != (sg.solid, sg.dotted):
                 continue
             cls = canonicalize_skeleton(sg, parity)
             assert not cls.is_zero, "stabilizer and refinement disagree on Zero"
@@ -754,26 +633,18 @@ def skeleton_differential_matrix(src: SkeletonDegreeSlice, dst: SkeletonDegreeSl
     return m
 
 
-def skeleton_homology_dims(b, k, n, family, u_max, u_min=None, force=False):
-    """Homology dimensions per degree slice u for one loop order.
+def skeleton_homology_dims(b, k, n, family, u_max, force=False):
+    """Homology dimensions per degree slice u = 1..u_max for one loop
+    order, as (u, dim) rows, and the slices.
 
-    Slices outside [u_min, u_max] are treated as empty, so the boundary
-    rows are only exact when the family is structurally empty there.
+    Slices above u_max are treated as empty, so the top row is only exact
+    when the family is structurally empty there.
     """
-    if u_min is None:
-        u_min = 1
-    slices = {}
-    for u in range(u_min, u_max + 1):
-        slices[u] = skeleton_degree_slice(b, u, k, n, family, force=force)
-    ranks = {}
-    for u in range(u_min + 1, u_max + 1):
-        src, dst = slices[u], slices[u - 1]
-        if len(src) and len(dst):
-            ranks[u] = rank(skeleton_differential_matrix(src, dst))
-        else:
-            ranks[u] = 0
-    rows = []
-    for u in range(u_min, u_max + 1):
-        dim = len(slices[u]) - ranks.get(u, 0) - ranks.get(u + 1, 0)
-        rows.append((u, dim))
-    return rows, slices
+    slices = {u: skeleton_degree_slice(b, u, k, n, family, force=force) for u in range(1, u_max + 1)}
+    maps = {
+        u: skeleton_differential_matrix(slices[u], slices[u - 1])
+        for u in range(2, u_max + 1)
+        if len(slices[u]) and len(slices[u - 1])
+    }
+    dims = homology({u: len(sl) for u, sl in slices.items()}, maps)
+    return list(dims.items()), slices

@@ -28,7 +28,7 @@ from .complexes import (
     REDUCED_CONSTRAINTS,
     differential_in_slice,
 )
-from .linalg import SparseRationalMatrix, kernel_basis, matrix_from_columns, rank
+from .linalg import SparseRationalMatrix, homology, kernel_basis, matrix_from_columns, rank
 from .skeleton import (
     SkeletonClass,
     SkeletonDegreeSlice,
@@ -384,23 +384,13 @@ def verify_quasi_iso(b: int, k: int, n: int, force=False) -> QuasiIsoReport:
         if len(sk[u]) and len(sk[u - 1]):
             sk_mat[u] = skeleton_differential_matrix(sk[u], sk[u - 1])
 
-    def gc_dim(v):
-        return len(gc[v]) if v in gc else 0
-
-    def gc_rank(v):
-        return rank(gc_mat[v]) if v in gc_mat else 0
-
-    def sk_rank(u):
-        return rank(sk_mat[u]) if u in sk_mat else 0
-
+    gc_dims = homology({v: len(sl) for v, sl in gc.items()}, gc_mat)
+    sk_dims = homology({u: len(sl) for u, sl in sk.items()}, sk_mat)
     rows = []
     for u in range(1, u_hi + 1):
         v = u - b - 1
-        dim_t = len(sk[u]) - sk_rank(u) - sk_rank(u + 1)
-        if 1 <= v <= v_hi + 1:
-            dim_s = gc_dim(v) - gc_rank(v) - gc_rank(v + 1)
-        else:
-            dim_s = 0
+        dim_t = sk_dims[u]
+        dim_s = gc_dims.get(v, 0)
         induced_ok = True
         if dim_s or dim_t:
             induced_ok = _induced_iso(gc, gc_mat, sk, sk_mat, v, u, dim_s, dim_t)
@@ -428,11 +418,14 @@ def _induced_iso(gc, gc_mat, sk, sk_mat, v, u, dim_s, dim_t):
             for r, w in cols[j].items():
                 col[r] = col.get(r, Fraction(0)) + c * w
         images.append({r: val for r, val in col.items() if val})
+    return _rank_mod_boundaries(sk, sk_mat, u, images) == dim_s
+
+
+def _rank_mod_boundaries(sk, sk_mat, u, columns):
+    """Rank of the columns of slice u modulo the boundaries from u + 1."""
     boundaries = sk_mat[u + 1].columns() if (u + 1) in sk_mat else []
-    boundaries = [c for c in boundaries if c]
     base = rank(matrix_from_columns(len(sk[u]), boundaries))
-    total = rank(matrix_from_columns(len(sk[u]), boundaries + images))
-    return total - base == dim_s
+    return rank(matrix_from_columns(len(sk[u]), boundaries + columns)) - base
 
 
 def image_homology_class_nonzero(g_slice: BasisSlice, element_index: int, sk_slices, sk_mats, u) -> bool:
@@ -441,8 +434,4 @@ def image_homology_class_nonzero(g_slice: BasisSlice, element_index: int, sk_sli
         BasisSlice(g_slice.params, (g_slice.basis[element_index],), g_slice.degree),
         sk_slices[u],
     )
-    col = m.columns()[0]
-    boundaries = sk_mats[u + 1].columns() if (u + 1) in sk_mats else []
-    base = rank(matrix_from_columns(len(sk_slices[u]), boundaries))
-    total = rank(matrix_from_columns(len(sk_slices[u]), boundaries + [col]))
-    return total - base == 1
+    return _rank_mod_boundaries(sk_slices, sk_mats, u, m.columns()[:1]) == 1

@@ -15,11 +15,13 @@ from pathlib import Path
 import pytest
 
 from ogc.graphs import (
+    GRAPH_KINDS,
+    SKELETON_KINDS,
     GroupElement,
     Parity,
-    _canonical_records,
     _cell_perms,
     _edge_ends,
+    _normal_form,
     _perms_with_signs,
     _refine,
     act,
@@ -31,7 +33,6 @@ from ogc import skeleton as skeleton_module
 from ogc.skeleton import (
     SkeletonFamily,
     SkeletonGraph,
-    _sk_canonical,
     canonicalize_skeleton,
     expand_dotted,
     make_skeleton,
@@ -230,7 +231,7 @@ def test_graphs_match_exhaustive_sweep():
     results = []
     zeros = 0
     for g, parity in graph_cases():
-        exhaustive = _canonical_records(g.v, g.records, parity, _perms_with_signs(g.v))
+        exhaustive = _normal_form((g.records,), GRAPH_KINDS, parity, _perms_with_signs(g.v))
         refined = canonical_pair(canonicalize(g, parity))
         if refined is not None:
             refined = (refined[0].records, refined[1])
@@ -256,7 +257,7 @@ def test_skeletons_match_exhaustive_sweep():
     results = []
     zeros = 0
     for sg, parity in skeleton_cases():
-        exhaustive = _sk_canonical(sg, parity, _perms_with_signs(sg.v))
+        exhaustive = _normal_form((sg.solid, sg.dotted), SKELETON_KINDS, parity, _perms_with_signs(sg.v))
         refined = canonical_pair(canonicalize_skeleton(sg, parity))
         if refined is not None:
             refined = ((refined[0].solid, refined[0].dotted), refined[1])
@@ -290,7 +291,7 @@ def test_rigid_graph_sweeps_one_permutation():
     for _ in range(400):
         v = rng.randint(4, 7)
         g = random_admissible_graph(rng, v, rng.randint(v, v + 3), rng.randint(0, 2))
-        cells = _refine(g.v, _edge_ends(g))
+        cells = _refine(g.v, _edge_ends(g.v, (g.records,), GRAPH_KINDS))
         if is_rigid(g):
             rigid += 1
             assert len(list(_cell_perms(cells))) == 1

@@ -126,3 +126,22 @@ def test_window_selects_vertex_range(capsys, tmp_path):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert [row["v"] for row in json.loads(out)["rows"]] == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--command", "enumerate", "--colors", "-1"], "--colors"),
+        (["--command", "enumerate", "--workers", "0"], "--workers"),
+        (["--command", "enumerate", "--edges-max", "-1"], "--edges-max"),
+        (["--command", "enumerate", "--vertices-max", "0"], "--vertices-max"),
+        (["--command", "verify-thm1", "--loop-order", "0"], "--loop-order"),
+        (["--command", "verify-thm1", "--loop-order", "-2"], "--loop-order"),
+    ],
+    ids=["colors", "workers", "edges-max", "vertices-max", "thm1-loop-order-0", "thm1-loop-order-negative"],
+)
+def test_out_of_range_count_is_a_usage_error(argv, flag, capsys, tmp_path):
+    code, out, err = run_cli(argv + ["--cache-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1
