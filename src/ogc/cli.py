@@ -12,7 +12,8 @@ One executable with a --command selector:
 Output is a JSON record {command, params, rows, timing} or a CSV of the
 rows.  Rows are deterministic for a fixed configuration regardless of
 the worker count; timing varies.  Exit code 0 means every check passed,
-1 means a verification failed, 2 is a usage error, and 3 is an internal
+1 means a verification failed, 2 is a usage error (a verify command
+whose bounds leave nothing to check is one), and 3 is an internal
 error: a differential or comparison-map term fell outside the enumerated
 target basis (a basis, skeleton or image closure error), reported as one
 ``internal error: ...`` line on stderr.
@@ -143,14 +144,12 @@ def run_jobs(jobs, workers):
     return results
 
 
-def _job_enumerate(v, e, k, n, constraints_value, force):
-    constraints = frozenset(Constraint(c) for c in constraints_value)
+def _job_enumerate(v, e, k, n, constraints, force):
     sl = enumerate_basis(SliceParams(v, e, k, n, constraints), force=force)
     return {"v": v, "e": e, "b": e - v, "degree": sl.degree, "value": len(sl)}
 
 
-def _job_dsq_chain(b, k, n, constraints_value, v_max, e_max, force):
-    constraints = frozenset(Constraint(c) for c in constraints_value)
+def _job_dsq_chain(b, k, n, constraints, v_max, e_max, force):
     v_top = min(v_max, e_max - b) if e_max - b >= 1 else 0
     rows = []
     if v_top < 1:
@@ -177,8 +176,7 @@ def _job_dsq_chain(b, k, n, constraints_value, v_max, e_max, force):
     return rows
 
 
-def _job_homology(b, k, n, constraints_value, v_max, force):
-    constraints = frozenset(Constraint(c) for c in constraints_value)
+def _job_homology(b, k, n, constraints, v_max, force):
     chain = slice_chain(b, k, n, constraints, v_max=v_max + 1, force=force)
     rows = []
     for v, degree, dim in homology_dims(chain):
@@ -266,7 +264,6 @@ def _job_props_quotient(b, family_value, m, force):
 
 def cmd_enumerate(args):
     constraints = parse_constraints(args.constraints)
-    cvalue = tuple(sorted(c.value for c in constraints))
     jobs = []
     v_lo, v_hi = (1, args.vertices_max)
     if args.window:
@@ -277,7 +274,7 @@ def cmd_enumerate(args):
         else:
             e_list = range(0, args.edges_max + 1)
         for e in e_list:
-            jobs.append(((v, e), _job_enumerate, (v, e, args.colors, args.n, cvalue, args.force)))
+            jobs.append(((v, e), _job_enumerate, (v, e, args.colors, args.n, constraints, args.force)))
     results = run_jobs(jobs, args.workers)
     return [row for _, row in results], True
 
@@ -286,21 +283,19 @@ def cmd_homology(args):
     if args.loop_order is None:
         raise UsageError("homology needs --loop-order")
     constraints = parse_constraints(args.constraints)
-    cvalue = tuple(sorted(c.value for c in constraints))
     v_min, v_max = 1, args.vertices_max
     if args.window:
         v_min, v_max = parse_window(args.window)
-    rows = _job_homology(args.loop_order, args.colors, args.n, cvalue, v_max, args.force)
+    rows = _job_homology(args.loop_order, args.colors, args.n, constraints, v_max, args.force)
     rows = [r for r in rows if r["v"] >= v_min]
     return rows, True
 
 
 def cmd_verify_dsq(args):
     constraints = parse_constraints(args.constraints)
-    cvalue = tuple(sorted(c.value for c in constraints))
     jobs = []
     for b in range(-1, args.edges_max - 1 + 1):
-        job_args = (b, args.colors, args.n, cvalue, args.vertices_max, args.edges_max, args.force)
+        job_args = (b, args.colors, args.n, constraints, args.vertices_max, args.edges_max, args.force)
         jobs.append((b, _job_dsq_chain, job_args))
     results = run_jobs(jobs, args.workers)
     rows = [row for _, chunk in results for row in chunk]
@@ -398,6 +393,11 @@ def main(argv=None):
             sys.stdout.write(render(cached, args.output))
             return 0
         rows, ok = COMMANDS[args.command](args)
+        if not rows and args.command.startswith("verify-"):
+            raise UsageError(
+                f"{args.command}: --vertices-max {args.vertices_max} and --edges-max "
+                f"{args.edges_max} leave nothing to check"
+            )
         record = {
             "command": args.command,
             "params": params_dict(args),

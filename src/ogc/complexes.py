@@ -4,7 +4,8 @@ A slice is the span of symmetry classes of connected k-colored graphs
 with fixed vertex and edge counts, optionally restricted by valence and
 passing-vertex constraints.  The differential contracts single edges and
 deletes 1-valent vertices; it always drops both counts by one and never
-changes the loop number e - v.
+changes the loop number e - v.  Bases come from the graph module's
+colored-class enumerator, matrices from ``linalg.matrix_of``.
 
 Sign bookkeeping for the differential (validated globally by the d^2 = 0
 suite): before contracting edge t = (u -> w) the head w is moved to the
@@ -17,7 +18,6 @@ moved last and reversed to point at x if needed.  The shifts contribute
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,16 +27,16 @@ from .graphs import (
     TermVector,
     GRAPH_KINDS,
     _color_acyclic,
-    _normal_form,
+    _colored_classes,
     _orbit_reps,
+    _pair_degrees,
     _pairs_connected,
     canonicalize,
-    is_passing,
-    perm_sign,
+    has_passing_vertex,
     sort_key,
     to_text,
 )
-from .linalg import SparseRationalMatrix, homology
+from .linalg import SparseRationalMatrix, homology, matrix_of
 
 
 class Constraint(enum.Enum):
@@ -92,9 +92,6 @@ class BasisSlice:
     def __len__(self):
         return len(self.basis)
 
-    def index(self):
-        return {g: i for i, g in enumerate(self.basis)}
-
 
 def check_constraints(constraints):
     constraints = frozenset(constraints)
@@ -128,14 +125,6 @@ class _Multigraph:
     stab: tuple           # vertex perms fixing the sorted pair multiset
 
 
-def _pair_degrees(v, pairs):
-    deg = [0] * v
-    for t, h in pairs:
-        deg[t] += 1
-        deg[h] += 1
-    return tuple(deg)
-
-
 @lru_cache(maxsize=None)
 def _multigraph_reps(v: int, e: int):
     """Orbit representatives of e-edge multigraphs on v labeled vertices,
@@ -147,35 +136,16 @@ def _multigraph_reps(v: int, e: int):
     )
 
 
-@lru_cache(maxsize=None)
-def _acyclic_support_signs(v: int, support: tuple):
-    """All sign assignments on the distinct pairs that orient them
-    acyclically, each sign taken relative to the (t, h) order with t < h.
-
-    Every acyclic orientation is induced by some linear vertex order, so
-    sweeping all orders and collecting induced sign vectors is exhaustive.
-    """
-    out = set()
-    for perm in itertools.permutations(range(v)):
-        pos = [0] * v
-        for i, x in enumerate(perm):
-            pos[x] = i
-        out.add(tuple(1 if pos[t] < pos[h] else -1 for t, h in support))
-    return tuple(sorted(out))
-
-
-def _color_assignments(v, pairs, k):
-    """Per-edge color rows (k signs each) with every color acyclic."""
-    if k == 0:
-        return [tuple(() for _ in pairs)]
-    support = tuple(sorted(set(pairs)))
-    signs = _acyclic_support_signs(v, support)
-    index = {p: i for i, p in enumerate(support)}
-    edge_of = [index[p] for p in pairs]
-    out = []
-    for combo in itertools.product(signs, repeat=k):
-        out.append(tuple(tuple(combo[c][edge_of[i]] for c in range(k)) for i in range(len(pairs))))
-    return out
+def _admits_degrees(M, cons):
+    """The constraints that a multigraph's connectivity and degrees decide
+    before any coloring."""
+    if Constraint.CONNECTED in cons and not M.connected:
+        return False
+    if Constraint.MIN_VALENCE_2 in cons and any(d < 2 for d in M.degrees):
+        return False
+    if Constraint.ONLY_2_VALENT in cons and any(d != 2 for d in M.degrees):
+        return False
+    return Constraint.MIN_VALENCE_3_SOMEWHERE not in cons or any(d >= 3 for d in M.degrees)
 
 
 def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
@@ -183,46 +153,22 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
     classes removed.
 
     Works in two levels: orbit representatives of the underlying
-    multigraph first, then color assignments on that labeled multigraph.
-    The colorings of one class there form one orbit of the multigraph's
-    stabilizer (its full automorphism group), so keeping a coloring when
-    it is its own minimal form over the stabilizer picks one coloring per
-    non-Zero class; the slice stores that class's ``canonicalize``
-    representative, so differential terms find it.
+    multigraph that pass the degree constraints first, then the colored
+    classes on each (``graphs._colored_classes``), dropping colorings with
+    a passing vertex under the no-passing constraint.
     """
     check_constraints(params.constraints)
     check_bounds(params.v, params.e, params.k, force)
     if params.v < 1 or params.e < 0:
         raise ValueError("need v >= 1 and e >= 0")
-    parity = params.parity
-    basis = []
-    for M in _multigraph_reps(params.v, params.e):
-        if Constraint.CONNECTED in params.constraints and not M.connected:
-            continue
-        # degree filters that do not depend on colors
-        cons = params.constraints
-        if Constraint.MIN_VALENCE_2 in cons and any(d < 2 for d in M.degrees):
-            continue
-        if Constraint.ONLY_2_VALENT in cons and any(d != 2 for d in M.degrees):
-            continue
-        if Constraint.MIN_VALENCE_3_SOMEWHERE in cons and not any(d >= 3 for d in M.degrees):
-            continue
-        stab_signed = tuple((p, perm_sign(p)) for p in M.stab)
-        for colors in _color_assignments(params.v, M.pairs, params.k):
-            records = tuple(pair + cs for pair, cs in zip(M.pairs, colors))
-            g = ColoredGraph(params.v, params.k, records)
-            if Constraint.NO_PASSING in cons and any(
-                d == 2 and is_passing(g, x) for x, d in enumerate(M.degrees)
-            ):
-                continue
-            out = _normal_form((records,), GRAPH_KINDS, parity, stab_signed)
-            if out is None or out[0] != (records,):
-                # zero class, or a non-canonical labeling of one
-                continue
-            cls = canonicalize(g, parity)
-            assert not cls.is_zero, "stabilizer and refinement disagree on Zero"
-            basis.append(cls.rep)
-    basis.sort(key=sort_key)
+    v, k, cons = params.v, params.k, params.constraints
+    structures = [((M.pairs,), M.stab) for M in _multigraph_reps(v, params.e) if _admits_degrees(M, cons)]
+
+    def admit(edges):
+        return Constraint.NO_PASSING not in cons or not has_passing_vertex(ColoredGraph(v, k, edges[0]))
+
+    reps = _colored_classes(v, k, structures, GRAPH_KINDS, params.parity, admit)
+    basis = sorted((ColoredGraph(v, k, records) for (records,) in reps), key=sort_key)
     return BasisSlice(params, tuple(basis), params.degree)
 
 
@@ -299,8 +245,8 @@ def differential(g: ColoredGraph, parity: Parity) -> TermVector:
     out = TermVector()
     for t in range(1, g.e + 1):
         out.add_vector(contract_edge(g, t, parity))
-    for x in range(g.v):
-        if sum((r[0] == x) + (r[1] == x) for r in g.records) == 1:
+    for x, d in enumerate(_pair_degrees(g.v, g.edges)):
+        if d == 1:
             out.add_vector(delete_one_valent(g, x, parity), -1)
     return out
 
@@ -313,7 +259,7 @@ def differential_in_slice(g: ColoredGraph, parity: Parity, constraints) -> TermV
         return vec
     out = TermVector()
     for rep, coeff in vec.terms.items():
-        if not any(is_passing(rep, x) for x in range(rep.v)):
+        if not has_passing_vertex(rep):
             out.add(rep, coeff)
     return out
 
@@ -329,18 +275,12 @@ def differential_matrix(src: BasisSlice, dst: BasisSlice) -> SparseRationalMatri
     sp, dp = src.params, dst.params
     if (dp.v, dp.e, dp.k, dp.n, dp.constraints) != (sp.v - 1, sp.e - 1, sp.k, sp.n, sp.constraints):
         raise ValueError("dst params must equal src params shifted by (v-1, e-1)")
-    index = dst.index()
-    m = SparseRationalMatrix(len(dst.basis), len(src.basis))
-    for j, g in enumerate(src.basis):
-        vec = differential_in_slice(g, sp.parity, sp.constraints)
-        for rep, coeff in vec.terms.items():
-            i = index.get(rep)
-            if i is None:
-                raise BasisClosureError(
-                    "differential term missing from the target slice:\n" + to_text(rep)
-                )
-            m.set(i, j, coeff)
-    return m
+    return matrix_of(
+        lambda g: differential_in_slice(g, sp.parity, sp.constraints),
+        src.basis,
+        dst.basis,
+        lambda rep: BasisClosureError("differential term missing from the target slice:\n" + to_text(rep)),
+    )
 
 
 def slice_chain(b, k, n, constraints, v_max, force=False):
@@ -366,8 +306,5 @@ def homology_dims(chain):
     for a, b in zip(chain, chain[1:]):
         if (b.params.v, b.params.e) != (a.params.v - 1, a.params.e - 1):
             raise ValueError("chain slices must step down by one vertex and one edge")
-    maps = {
-        a.params.v: differential_matrix(a, b) for a, b in zip(chain, chain[1:]) if len(a) and len(b)
-    }
-    dims = homology({sl.params.v: len(sl) for sl in chain}, maps)
+    _, dims = homology({sl.params.v: sl for sl in chain}, differential_matrix)
     return [(sl.params.v, sl.degree, dims[sl.params.v]) for sl in chain]

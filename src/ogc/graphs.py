@@ -34,7 +34,9 @@ isomorphism respects, and the normalization kernel ``_normal_form`` takes
 the minimal form over the permutations that map each cell onto its own
 block of positions (``_cell_perms``), not over all v! of them.  This is
 the refinement half of McKay & Piperno, "Practical graph isomorphism
-II", J. Symbolic Comput. 60 (2014), without individualization.
+II", J. Symbolic Comput. 60 (2014), without individualization.  The
+bases of both complexes come from one enumerator, ``_colored_classes``,
+which colors the structures of the orbit generator ``_orbit_reps``.
 """
 
 from __future__ import annotations
@@ -81,11 +83,6 @@ class ColoredGraph:
     def edges(self):
         """Ordered (tail, head) pairs, one per edge."""
         return tuple(r[:2] for r in self.records)
-
-    @property
-    def colors(self):
-        """Per-edge tuples of the k color signs."""
-        return tuple(r[2:] for r in self.records)
 
     def __lt__(self, other):
         return sort_key(self) < sort_key(other)
@@ -141,7 +138,8 @@ class CanonicalClass:
     """Canonical representative with sign, or the distinguished Zero.
 
     A non-zero value means the input graph equals ``sign`` times the class
-    of ``rep`` in the signed quotient.  ``rep is None`` encodes Zero.
+    of ``rep`` in the signed quotient.  ``rep is None`` encodes Zero.  Both
+    complexes use it: ``rep`` is a ColoredGraph or a skeleton.SkeletonGraph.
     """
 
     rep: ColoredGraph | None
@@ -362,6 +360,74 @@ def _orbit_reps(v, kinds, connected=False):
     return tuple(reps)
 
 
+@lru_cache(maxsize=None)
+def _acyclic_support_signs(v: int, support: tuple):
+    """All sign assignments on the distinct pairs that orient them
+    acyclically, each sign taken relative to the (t, h) order with t < h.
+
+    Every acyclic orientation is induced by some linear vertex order, so
+    sweeping all orders and collecting induced sign vectors is exhaustive.
+    """
+    out = set()
+    for perm in itertools.permutations(range(v)):
+        pos = [0] * v
+        for i, x in enumerate(perm):
+            pos[x] = i
+        out.add(tuple(1 if pos[t] < pos[h] else -1 for t, h in support))
+    return tuple(sorted(out))
+
+
+def _colorings(v, k, edges):
+    """Every k-coloring of a structure, as records (one sorted tuple per
+    kind).  Each color orients every support pair acyclically, parallel
+    edges alike, so a structure with a tadpole has none; with no colors
+    the structure is its own records."""
+    if not k:
+        yield edges
+        return
+    if any(t == h for es in edges for t, h in es):
+        return  # a color on a tadpole is a cycle
+    support = tuple(sorted({(min(t, h), max(t, h)) for es in edges for t, h in es}))
+    index = {p: i for i, p in enumerate(support)}
+    # each edge reads its signs off its support pair, negated when it
+    # runs from the higher end
+    slots = tuple(
+        tuple((t, h, index[(min(t, h), max(t, h))], 1 if t < h else -1) for t, h in es) for es in edges
+    )
+    for combo in itertools.product(_acyclic_support_signs(v, support), repeat=k):
+        yield tuple(
+            tuple(sorted((t, h) + tuple(flip * signs[i] for signs in combo) for t, h, i, flip in es))
+            for es in slots
+        )
+
+
+def _colored_classes(v, k, structures, kinds, parity, admit):
+    """Canonical forms of the non-Zero classes of k-colored graphs on the
+    given structures, one per class, in structure order.
+
+    ``structures`` yields ``(edges, stab)`` as ``_orbit_reps`` lists them:
+    one sorted tuple of (t, h) pairs per kind in ``kinds`` and the vertex
+    permutations fixing it.  The colorings of one class form one orbit of
+    the stabilizer, its full automorphism group, so a coloring is kept
+    when ``admit`` accepts its records and it is its own minimal form over
+    the stabilizer; its class's ``_canonical_form`` is stored, so the
+    differential's terms find it.
+    """
+    reps = []
+    for edges, stab in structures:
+        stab_signed = tuple((p, perm_sign(p)) for p in stab)
+        for colored in _colorings(v, k, edges):
+            if not admit(colored):
+                continue
+            out = _normal_form(colored, kinds, parity, stab_signed)
+            if out is None or out[0] != colored:
+                continue  # zero class, or a non-canonical labeling of one
+            form = _canonical_form(v, colored, kinds, parity)
+            assert form is not None, "stabilizer and refinement disagree on Zero"
+            reps.append(form[0])
+    return reps
+
+
 def sort_key(g: ColoredGraph):
     """Total order on graphs: (tail, head) data first, then color data.
 
@@ -541,6 +607,14 @@ def _arcs_acyclic(v, arcs) -> bool:
     return seen == v
 
 
+def _pair_degrees(v, pairs):
+    deg = [0] * v
+    for t, h in pairs:
+        deg[t] += 1
+        deg[h] += 1
+    return tuple(deg)
+
+
 def _pairs_connected(v, pairs) -> bool:
     """True iff the (t, h) pairs join the vertices 0..v-1 into one
     component (union-find with path halving)."""
@@ -573,14 +647,10 @@ def valence(g: ColoredGraph, x: int) -> int:
     return sum((rec[0] == x) + (rec[1] == x) for rec in g.records)
 
 
-def is_passing_in_color(g: ColoredGraph, x: int, c: int) -> bool:
-    """2-valent with color-c in-degree 1 and out-degree 1 at x."""
-    return _passing_in_color(g.records, x, c)
-
-
 def _passing_in_color(records, x, c) -> bool:
     """x ends exactly two of the flat records, neither a tadpole, and is
-    the color-c head of one of them."""
+    the color-c head of one of them: 2-valent with color-c in-degree 1
+    and out-degree 1."""
     incident = [rec for rec in records if x in rec[:2]]
     if len(incident) != 2 or any(rec[0] == rec[1] for rec in incident):
         return False
@@ -594,7 +664,7 @@ def is_passing(g: ColoredGraph, x: int) -> bool:
         raise ValueError(f"vertex {x} out of range")
     if valence(g, x) != 2:
         return False
-    return all(is_passing_in_color(g, x, c) for c in range(1, g.k + 1))
+    return all(_passing_in_color(g.records, x, c) for c in range(1, g.k + 1))
 
 
 def is_weakly_passing(g: ColoredGraph, x: int) -> bool:
@@ -609,13 +679,13 @@ def is_weakly_passing(g: ColoredGraph, x: int) -> bool:
         raise ValueError(f"vertex {x} out of range")
     if valence(g, x) != 2:
         return False
-    if is_passing_in_color(g, x, g.k):
+    if _passing_in_color(g.records, x, g.k):
         return False
-    return all(is_passing_in_color(g, x, c) for c in range(1, g.k))
+    return all(_passing_in_color(g.records, x, c) for c in range(1, g.k))
 
 
 def has_passing_vertex(g: ColoredGraph) -> bool:
-    return any(is_passing(g, x) for x in range(g.v))
+    return any(d == 2 and is_passing(g, x) for x, d in enumerate(_pair_degrees(g.v, g.edges)))
 
 
 def to_text(g: ColoredGraph) -> str:
@@ -680,10 +750,12 @@ class TermVector:
         for key, coeff in other.terms.items():
             self.add(key, Fraction(scale) * coeff)
 
-    def scaled(self, scale):
+    def mapped(self, fn):
+        """The linear extension of ``fn`` (key -> TermVector) applied to
+        this vector."""
         out = TermVector()
         for key, coeff in self.terms.items():
-            out.add(key, Fraction(scale) * coeff)
+            out.add_vector(fn(key), coeff)
         return out
 
     def is_zero(self) -> bool:

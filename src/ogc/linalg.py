@@ -72,6 +72,22 @@ def matrix_from_columns(rows, columns) -> SparseRationalMatrix:
     return m
 
 
+def matrix_of(image, src_basis, dst_basis, missing) -> SparseRationalMatrix:
+    """Matrix of a linear map between two bases: column j holds the
+    coefficients of ``image(src_basis[j])``, a vector with a ``terms``
+    dict, in ``dst_basis``.  A term outside ``dst_basis`` is a closure bug:
+    the exception ``missing(term)`` is raised instead of dropping it."""
+    index = {g: i for i, g in enumerate(dst_basis)}
+    m = SparseRationalMatrix(len(dst_basis), len(src_basis))
+    for j, g in enumerate(src_basis):
+        for rep, coeff in image(g).terms.items():
+            i = index.get(rep)
+            if i is None:
+                raise missing(rep)
+            m.set(i, j, coeff)
+    return m
+
+
 def _eliminate(rows, inverse, reduce) -> int:
     """Rank of a list of sparse rows ({col: value} dicts, none empty) by
     Gaussian elimination, pivots chosen to limit fill.  ``inverse`` and
@@ -123,15 +139,19 @@ def rank_mod_p(m: SparseRationalMatrix, p: int = CHECK_PRIME) -> int:
     return _eliminate(list(rows.values()), lambda x: pow(x, p - 2, p), lambda x: x % p)
 
 
-def homology(dims, maps):
+def homology(slices, matrix):
     """Homology dimensions of a chain complex from the ranks of its maps.
 
-    ``dims`` maps each slice index i to the slice's dimension, ``maps``
-    maps i to the matrix of the differential from slice i to slice i - 1;
-    a missing map is zero.  Each map is ranked once.  Returns {i: dim}.
+    ``slices`` maps each index i to a basis (anything with a length); the
+    differential from slice i to slice i - 1 is ``matrix(slices[i],
+    slices[i - 1])``, built when both are non-empty, and zero otherwise.
+    Each map is ranked once.  Returns the maps by i and {i: dim}.
     """
+    maps = {
+        i: matrix(sl, slices[i - 1]) for i, sl in slices.items() if len(sl) and len(slices.get(i - 1, ()))
+    }
     ranks = {i: rank(m) for i, m in maps.items()}
-    return {i: d - ranks.get(i, 0) - ranks.get(i + 1, 0) for i, d in dims.items()}
+    return maps, {i: len(sl) - ranks.get(i, 0) - ranks.get(i + 1, 0) for i, sl in slices.items()}
 
 
 def kernel_basis(m: SparseRationalMatrix):

@@ -17,8 +17,9 @@ Parities (m is the complex's own grading parameter):
 * solid arrows are pinned to the last color and are never reversed.
 
 These rules are declared as the two edge kinds ``graphs.SKELETON_KINDS``,
-and the graph module's typed-edge kernel applies them, so canonical forms
-of both complexes come from the same code.
+and the graph module's typed-edge kernel applies them, so canonical forms,
+classes (``graphs.CanonicalClass``) and bases of both complexes come from
+the same code.
 
 All differential signs below are anchored to the expanded picture in
 the full (k+1)-colored complex, where middle vertices are labeled after
@@ -38,22 +39,24 @@ from functools import lru_cache
 
 from .graphs import (
     SKELETON_KINDS,
+    ZERO,
+    CanonicalClass,
     ColoredGraph,
     Parity,
     TermVector,
     _arcs_acyclic,
     _canonical_form,
     _color_acyclic,
-    _normal_form,
+    _colored_classes,
     _orbit_reps,
+    _pair_degrees,
     _pairs_connected,
     _passing_in_color,
     canonicalize,
     is_weakly_passing,
-    perm_sign,
 )
-from .complexes import SHAPE_BOUNDS, _acyclic_support_signs
-from .linalg import SparseRationalMatrix, homology
+from .complexes import SHAPE_BOUNDS
+from .linalg import SparseRationalMatrix, homology, matrix_of
 
 
 @dataclass(frozen=True)
@@ -100,38 +103,18 @@ def make_skeleton(v, solid, dotted, k=None):
     return SkeletonGraph(v, k, solid, dotted)
 
 
-@dataclass(frozen=True)
-class SkeletonClass:
-    rep: SkeletonGraph | None
-    sign: int
-
-    @property
-    def is_zero(self):
-        return self.rep is None
-
-
-SK_ZERO = SkeletonClass(None, 0)
-
-
-def canonicalize_skeleton(sg: SkeletonGraph, parity: Parity) -> SkeletonClass:
-    """Canonical representative of sg's signed class, or SK_ZERO: the
-    graph engine on the solid and dotted kinds (``SKELETON_KINDS``)."""
+def canonicalize_skeleton(sg: SkeletonGraph, parity: Parity) -> CanonicalClass:
+    """Canonical representative of sg's signed class, or ZERO: the graph
+    engine on the solid and dotted kinds (``SKELETON_KINDS``)."""
     out = _canonical_form(sg.v, (sg.solid, sg.dotted), SKELETON_KINDS, parity)
     if out is None:
-        return SK_ZERO
+        return ZERO
     (solid, dotted), sign = out
-    return SkeletonClass(SkeletonGraph(sg.v, sg.k, solid, dotted), sign)
+    return CanonicalClass(SkeletonGraph(sg.v, sg.k, solid, dotted), sign)
 
 
 # ---------------------------------------------------------------------------
 # structural predicates
-
-
-def sk_valence(sg, x):
-    out = 0
-    for rec in sg.solid + sg.dotted:
-        out += (rec[0] == x) + (rec[1] == x)
-    return out
 
 
 def _sk_last_color_acyclic(sg):
@@ -155,8 +138,7 @@ def is_valid_special(sg: SkeletonGraph) -> bool:
     if not _sk_last_color_acyclic(sg):
         return False
     some_big = False
-    for x in range(sg.v):
-        val = sk_valence(sg, x)
+    for x, val in enumerate(_pair_degrees(sg.v, [r[:2] for r in sg.solid + sg.dotted])):
         if val >= 3:
             some_big = True
             continue
@@ -183,14 +165,14 @@ def has_multiple_edge(sg):
     return False
 
 
-def project_to_simple(sg: SkeletonGraph, parity: Parity) -> SkeletonClass:
+def project_to_simple(sg: SkeletonGraph, parity: Parity) -> CanonicalClass:
     """Quotient by tadpole-bearing and multiple-edge-bearing graphs.
 
     The quotient only exists for odd m; for even m the projection is the
     identity and this just canonicalizes.
     """
     if parity is Parity.ODD and (has_dotted_tadpole(sg) or has_multiple_edge(sg)):
-        return SK_ZERO
+        return ZERO
     return canonicalize_skeleton(sg, parity)
 
 
@@ -468,21 +450,6 @@ class SkeletonSliceParams:
     def parity(self):
         return Parity.from_n(self.n)
 
-    @property
-    def loop_number(self):
-        return self.n_solid + self.n_dotted - self.v
-
-    @property
-    def expanded_vertices(self):
-        """Vertex count of the expansion; fixes the degree within a loop
-        order, and drops by one under the differential."""
-        return self.v + self.n_dotted
-
-    @property
-    def degree(self):
-        e_exp = self.n_solid + 2 * self.n_dotted
-        return (self.expanded_vertices - 1) * self.n + (1 - self.n) * e_exp
-
 
 def _family_admits(sg, family, parity):
     if not is_valid_special(sg):
@@ -513,49 +480,24 @@ def _skeleton_structures(v, n_solid, n_dotted):
 def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     """Canonical classes of one (v, solids, dotteds) shape, sorted.
 
-    Two levels, like the ordinary basis enumeration: structures up to
-    relabeling first, then base-color assignments.  An assignment is kept
-    when it is its own minimal form over the structure's stabilizer, one
-    per non-Zero class, and stored as its ``canonicalize_skeleton``
-    representative.
+    Two levels, like the ordinary basis enumeration: connected structures
+    up to relabeling first, then the colored classes on each
+    (``graphs._colored_classes``) that the family admits, stored as their
+    ``canonicalize_skeleton`` representatives.
     """
     v, k = params.v, params.k
     e = params.n_solid + 2 * params.n_dotted
     if not force and (v > SHAPE_BOUNDS["v"] or e > SHAPE_BOUNDS["e"] or k > SHAPE_BOUNDS["k"]):
         raise ValueError(f"shape {params} exceeds default bounds; pass force=True")
     parity = params.parity
-    basis = []
-    for solids, dotteds, stab in _skeleton_structures(v, params.n_solid, params.n_dotted):
-        if k and any(t == h for t, h in dotteds):
-            continue  # a base color on a tadpole is a cycle
-        support = tuple(sorted({(min(t, h), max(t, h)) for t, h in solids + dotteds}))
-        if k:
-            orient = _acyclic_support_signs(v, support)
-            index = {p: i for i, p in enumerate(support)}
-        else:
-            orient = ((),)
-            index = {}
-        stab_signed = tuple((p, perm_sign(p)) for p in stab)
-        for combo in itertools.product(orient, repeat=k):
-            solid_recs = []
-            for t, h in solids:
-                key = (t, h) if t < h else (h, t)
-                flip = 1 if t < h else -1
-                solid_recs.append((t, h) + tuple(flip * combo[c][index[key]] for c in range(k)))
-            dotted_recs = []
-            for t, h in dotteds:
-                dotted_recs.append((t, h) + tuple(combo[c][index[(t, h)]] for c in range(k)))
-            sg = SkeletonGraph(v, k, tuple(sorted(solid_recs)), tuple(sorted(dotted_recs)))
-            if not _family_admits(sg, params.family, parity):
-                continue
-            out = _normal_form((sg.solid, sg.dotted), SKELETON_KINDS, parity, stab_signed)
-            if out is None or out[0] != (sg.solid, sg.dotted):
-                continue
-            cls = canonicalize_skeleton(sg, parity)
-            assert not cls.is_zero, "stabilizer and refinement disagree on Zero"
-            basis.append(cls.rep)
-    basis.sort(key=sk_sort_key)
-    return tuple(basis)
+    shapes = _skeleton_structures(v, params.n_solid, params.n_dotted)
+    structures = (((solids, dotteds), stab) for solids, dotteds, stab in shapes)
+
+    def admit(edges):
+        return _family_admits(SkeletonGraph(v, k, *edges), params.family, parity)
+
+    reps = _colored_classes(v, k, structures, SKELETON_KINDS, parity, admit)
+    return tuple(sorted((SkeletonGraph(v, k, solid, dotted) for solid, dotted in reps), key=sk_sort_key))
 
 
 @dataclass(frozen=True)
@@ -572,9 +514,6 @@ class SkeletonDegreeSlice:
 
     def __len__(self):
         return len(self.basis)
-
-    def index(self):
-        return {g: i for i, g in enumerate(self.basis)}
 
 
 def skeleton_degree_slice(b, u, k, n, family, force=False) -> SkeletonDegreeSlice:
@@ -618,19 +557,14 @@ def skeleton_differential_matrix(src: SkeletonDegreeSlice, dst: SkeletonDegreeSl
     if (dst.b, dst.k, dst.n, dst.family) != (src.b, src.k, src.n, src.family) or dst.u != src.u - 1:
         raise ValueError("dst must be the same family one degree down")
     parity = Parity.from_n(src.n)
-    index = dst.index()
-    m = SparseRationalMatrix(len(dst), len(src))
-    for j, sg in enumerate(src.basis):
-        vec = projected_skeleton_differential(sg, parity, src.family)
-        for rep, coeff in vec.terms.items():
-            i = index.get(rep)
-            if i is None:
-                raise SkeletonClosureError(
-                    f"differential term left the {src.family.value} family "
-                    f"(u={src.u} -> {dst.u}): {rep}"
-                )
-            m.set(i, j, coeff)
-    return m
+    return matrix_of(
+        lambda sg: projected_skeleton_differential(sg, parity, src.family),
+        src.basis,
+        dst.basis,
+        lambda rep: SkeletonClosureError(
+            f"differential term left the {src.family.value} family (u={src.u} -> {dst.u}): {rep}"
+        ),
+    )
 
 
 def skeleton_homology_dims(b, k, n, family, u_max, force=False):
@@ -641,10 +575,5 @@ def skeleton_homology_dims(b, k, n, family, u_max, force=False):
     when the family is structurally empty there.
     """
     slices = {u: skeleton_degree_slice(b, u, k, n, family, force=force) for u in range(1, u_max + 1)}
-    maps = {
-        u: skeleton_differential_matrix(slices[u], slices[u - 1])
-        for u in range(2, u_max + 1)
-        if len(slices[u]) and len(slices[u - 1])
-    }
-    dims = homology({u: len(sl) for u, sl in slices.items()}, maps)
+    _, dims = homology(slices, skeleton_differential_matrix)
     return list(dims.items()), slices

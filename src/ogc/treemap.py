@@ -19,18 +19,27 @@ former intrinsic direction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import ColoredGraph, Parity, TermVector, perm_parity, valence
+from .graphs import (
+    CanonicalClass,
+    ColoredGraph,
+    Parity,
+    TermVector,
+    _pairs_connected,
+    is_connected,
+    perm_parity,
+    valence,
+)
 from .complexes import (
     BasisSlice,
     REDUCED_CONSTRAINTS,
     differential_in_slice,
 )
-from .linalg import SparseRationalMatrix, homology, kernel_basis, matrix_from_columns, rank
+from .linalg import SparseRationalMatrix, homology, kernel_basis, matrix_from_columns, matrix_of, rank
 from .skeleton import (
-    SkeletonClass,
     SkeletonDegreeSlice,
     SkeletonFamily,
     SkeletonGraph,
@@ -46,58 +55,18 @@ from .skeleton import (
 
 
 def spanning_trees(g: ColoredGraph):
-    """All spanning trees as sorted tuples of 0-based edge indices.
-
-    Deletion/contraction recursion ordered by edge label; parallel edges
-    count separately.  Raises on disconnected input.
+    """All spanning trees as sorted tuples of 0-based edge indices, in
+    lexicographic order: the (v - 1)-subsets of the edges that connect all
+    vertices.  Parallel edges count separately.  Raises on disconnected
+    input.
     """
-    from .graphs import is_connected
-
     if not is_connected(g):
         raise ValueError("spanning trees need a connected graph")
-    e = g.e
-    out = []
-
-    def component_count(parent):
-        return len({_find(parent, i) for i in range(g.v)})
-
-    def recurse(i, parent, chosen):
-        if component_count(parent) == 1:
-            out.append(tuple(chosen))
-            return
-        if i == e:
-            return
-        t, h = g.records[i][0], g.records[i][1]
-        a, b = _find(parent, t), _find(parent, h)
-        if a != b:
-            # contract: take edge i
-            merged = parent.copy()
-            merged[a] = b
-            recurse(i + 1, merged, chosen + [i])
-        # delete: skip edge i if the rest still connects
-        if _still_connected(g, i + 1, parent, chosen):
-            recurse(i + 1, parent, chosen)
-
-    recurse(0, list(range(g.v)), [])
-    return out
-
-
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _still_connected(g, start, parent, chosen):
-    scratch = parent.copy()
-    comps = len({_find(scratch, i) for i in range(g.v)})
-    for i in range(start, g.e):
-        a, b = _find(scratch, g.records[i][0]), _find(scratch, g.records[i][1])
-        if a != b:
-            scratch[a] = b
-            comps -= 1
-    return comps == 1
+    return [
+        tree
+        for tree in itertools.combinations(range(g.e), g.v - 1)
+        if _pairs_connected(g.v, [g.records[i][:2] for i in tree])
+    ]
 
 
 def tree_count_oracle(g: ColoredGraph) -> int:
@@ -137,7 +106,7 @@ class TreeImage:
     root: int
     tree: tuple
     reversals: int
-    image: SkeletonClass
+    image: CanonicalClass
 
 
 def tree_image(g: ColoredGraph, x: int, tree, n_parity: Parity) -> TreeImage:
@@ -216,7 +185,7 @@ def tree_image(g: ColoredGraph, x: int, tree, n_parity: Parity) -> TreeImage:
     sk = SkeletonGraph(v, k, tuple(solid_records), tuple(dotted_records))
     cls = canonicalize_skeleton(sk, m_parity)
     if not cls.is_zero:
-        cls = SkeletonClass(cls.rep, cls.sign * sign)
+        cls = CanonicalClass(cls.rep, cls.sign * sign)
     return TreeImage(g, x, tree, reversals, cls)
 
 
@@ -271,22 +240,17 @@ def verify_chain_map(g: ColoredGraph, n_parity: Parity, expanded=True) -> ChainM
     trusted."""
     m_parity = n_parity.flipped
     hvec = spanning_tree_map(g, n_parity, project=False)
-    lhs = TermVector()
-    for rep, coeff in hvec.terms.items():
-        lhs.add_vector(skeleton_differential(rep, m_parity), coeff)
-    rhs = TermVector()
-    for rep, coeff in differential_in_slice(g, n_parity, REDUCED_CONSTRAINTS).terms.items():
-        rhs.add_vector(spanning_tree_map(rep, n_parity, project=False), coeff)
+    lhs = hvec.mapped(lambda rep: skeleton_differential(rep, m_parity))
+    rhs = differential_in_slice(g, n_parity, REDUCED_CONSTRAINTS).mapped(
+        lambda rep: spanning_tree_map(rep, n_parity, project=False)
+    )
     native_equal = lhs == rhs
     expanded_equal = native_equal
     if expanded:
-        lhs_exp = TermVector()
-        for rep, coeff in lhs.terms.items():
-            lhs_exp.add_vector(expand_dotted(rep, m_parity), coeff)
-        rhs_exp = TermVector()
-        for rep, coeff in rhs.terms.items():
-            rhs_exp.add_vector(expand_dotted(rep, m_parity), coeff)
-        expanded_equal = lhs_exp == rhs_exp
+        def expand(rep):
+            return expand_dotted(rep, m_parity)
+
+        expanded_equal = lhs.mapped(expand) == rhs.mapped(expand)
     vacuous = True
     if m_parity is Parity.ODD:
         for rep in hvec.terms:
@@ -309,17 +273,13 @@ class ImageClosureError(RuntimeError):
 def induced_matrix(src: BasisSlice, dst: SkeletonDegreeSlice) -> SparseRationalMatrix:
     """Coordinates of the map on one source slice: column j is the image
     of basis element j in the degree slice one loop order up."""
-    index = dst.index()
-    m = SparseRationalMatrix(len(dst), len(src.basis))
     n_parity = src.params.parity
-    for j, g in enumerate(src.basis):
-        vec = spanning_tree_map(g, n_parity, project=True)
-        for rep, coeff in vec.terms.items():
-            i = index.get(rep)
-            if i is None:
-                raise ImageClosureError(f"image term missing from target slice u={dst.u}: {rep}")
-            m.set(i, j, coeff)
-    return m
+    return matrix_of(
+        lambda g: spanning_tree_map(g, n_parity, project=True),
+        src.basis,
+        dst.basis,
+        lambda rep: ImageClosureError(f"image term missing from target slice u={dst.u}: {rep}"),
+    )
 
 
 @dataclass
@@ -375,17 +335,8 @@ def verify_quasi_iso(b: int, k: int, n: int, force=False) -> QuasiIsoReport:
         u: skeleton_degree_slice(b, u, 0, n + 1, family, force=force)
         for u in range(1, u_hi + 2)
     }
-    gc_mat = {}
-    for v in range(2, v_hi + 2):
-        if gc.get(v) is not None and len(gc[v]) and len(gc.get(v - 1, ())):
-            gc_mat[v] = differential_matrix(gc[v], gc[v - 1])
-    sk_mat = {}
-    for u in range(2, u_hi + 2):
-        if len(sk[u]) and len(sk[u - 1]):
-            sk_mat[u] = skeleton_differential_matrix(sk[u], sk[u - 1])
-
-    gc_dims = homology({v: len(sl) for v, sl in gc.items()}, gc_mat)
-    sk_dims = homology({u: len(sl) for u, sl in sk.items()}, sk_mat)
+    gc_mat, gc_dims = homology(gc, differential_matrix)
+    sk_mat, sk_dims = homology(sk, skeleton_differential_matrix)
     rows = []
     for u in range(1, u_hi + 1):
         v = u - b - 1
@@ -405,20 +356,12 @@ def _induced_iso(gc, gc_mat, sk, sk_mat, v, u, dim_s, dim_t):
     src = gc.get(v)
     if src is None or not len(src):
         return dim_t == 0
-    m = induced_matrix(src, sk[u])
-    cols = m.columns()
     if v in gc_mat:
         cycles = kernel_basis(gc_mat[v])
     else:
         cycles = [{j: Fraction(1)} for j in range(len(src))]
-    images = []
-    for z in cycles:
-        col = {}
-        for j, c in z.items():
-            for r, w in cols[j].items():
-                col[r] = col.get(r, Fraction(0)) + c * w
-        images.append({r: val for r, val in col.items() if val})
-    return _rank_mod_boundaries(sk, sk_mat, u, images) == dim_s
+    images = induced_matrix(src, sk[u]) @ matrix_from_columns(len(src), cycles)
+    return _rank_mod_boundaries(sk, sk_mat, u, images.columns()) == dim_s
 
 
 def _rank_mod_boundaries(sk, sk_mat, u, columns):

@@ -145,3 +145,13 @@ def test_out_of_range_count_is_a_usage_error(argv, flag, capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify-dsq", "verify-chain"])
+def test_verify_with_nothing_to_check_is_a_usage_error(command, capsys, tmp_path):
+    argv = ["--command", command, "--edges-max", "1", "--cache-dir", str(tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {command}: ") and "nothing to check" in err
+    assert err.count("\n") == 1

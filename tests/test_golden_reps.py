@@ -59,7 +59,9 @@ def test_canonicalize_skeleton_matches_golden():
         assert got == expected, (parity, solid, dotted)
 
 
-@pytest.mark.parametrize("case", GOLDEN["enumerate_basis"], ids=lambda c: "v{}e{}k{}n{}".format(*c))
+@pytest.mark.parametrize(
+    "case", GOLDEN["enumerate_basis"], ids=lambda c: "v{}e{}k{}n{}-".format(*c) + "+".join(c[4])
+)
 def test_enumerate_basis_matches_golden(case):
     v, e, k, n, cons, basis = case
     params = SliceParams(v, e, k, n, frozenset(Constraint(c) for c in cons))
