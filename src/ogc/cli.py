@@ -9,11 +9,16 @@ One executable with a --command selector:
   verify-thm1   homology equality and induced isomorphism per loop order
   verify-props  full vs at-least-2-valent homology, quotient acyclicity
 
-Output is a JSON record {command, params, rows, timing} or a CSV of the
-rows.  Rows are deterministic for a fixed configuration regardless of
-the worker count; timing varies.  Exit code 0 means every check passed,
-1 means a verification failed, 2 is a usage error (a verify command
-whose bounds leave nothing to check is one), and 3 is an internal
+Every command is a list of (key, fn, args) jobs, and every job returns
+rows of one schema, ``Row`` = (v, e, b, degree, value); the record holds
+the rows of all jobs in key order.  Output is a JSON record {command,
+params, rows, timing} or a CSV of the rows.  Rows are deterministic for a
+fixed configuration regardless of the worker count; timing varies.
+
+Exit code 0 means success, and 1 means a verification failed: a verify-*
+command passes iff every row's value starts with ``pass``.  2 is a usage
+error (a verify command whose bounds leave nothing to check is one, and so
+is a slice over the default bounds without --force), and 3 is an internal
 error: a differential or comparison-map term fell outside the enumerated
 target basis (a basis, skeleton or image closure error), reported as one
 ``internal error: ...`` line on stderr.
@@ -26,11 +31,13 @@ import csv
 import io
 import sys
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 
 from .graphs import Parity
 from .complexes import (
     DEFAULT_BOUNDS as BOUNDS,
+    SHAPE_BOUNDS,
     BasisClosureError,
     Constraint,
     REDUCED_CONSTRAINTS,
@@ -47,28 +54,25 @@ from . import cache as result_cache
 # closure failures are bugs in the package, not verdicts on the input
 INTERNAL_ERRORS = (BasisClosureError, SkeletonClosureError, ImageClosureError)
 
+# the one row schema: the JSON record's row keys and the CSV header
+Row = namedtuple("Row", "v e b degree value")
+
 CONSTRAINT_TOKENS = {
-    "connected": Constraint.CONNECTED,
-    "min2": Constraint.MIN_VALENCE_2,
-    "some3": Constraint.MIN_VALENCE_3_SOMEWHERE,
-    "nopass": Constraint.NO_PASSING,
-    "only2": Constraint.ONLY_2_VALENT,
+    "connected": {Constraint.CONNECTED},
+    "min2": {Constraint.MIN_VALENCE_2},
+    "some3": {Constraint.MIN_VALENCE_3_SOMEWHERE},
+    "nopass": {Constraint.NO_PASSING},
+    "only2": {Constraint.ONLY_2_VALENT},
+    "reduced": REDUCED_CONSTRAINTS,
 }
 
+
 def parse_constraints(text):
-    if text == "reduced":
-        return REDUCED_CONSTRAINTS
     out = set()
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "reduced":
-            out |= REDUCED_CONSTRAINTS
-        elif token in CONSTRAINT_TOKENS:
-            out.add(CONSTRAINT_TOKENS[token])
-        else:
+    for token in filter(None, (token.strip() for token in text.split(","))):
+        if token not in CONSTRAINT_TOKENS:
             raise ValueError(f"unknown constraint token {token!r}")
+        out |= CONSTRAINT_TOKENS[token]
     return frozenset(out)
 
 
@@ -81,6 +85,14 @@ def parse_window(text):
     if not 1 <= lo <= hi:
         raise UsageError(f"--window must be lo:hi with integers 1 <= lo <= hi, got {text!r}")
     return lo, hi
+
+
+def vertex_range(args):
+    return parse_window(args.window) if args.window else (1, args.vertices_max)
+
+
+def thm1_orders(args):
+    return [args.loop_order] if args.loop_order is not None else [1, 2]
 
 
 def make_parser():
@@ -104,9 +116,29 @@ def make_parser():
     return p
 
 
+def top_slices(args):
+    """(v, e, bounds) of the largest slices a command builds beyond its
+    flags: enumerate and homology take v from --window, the homology and
+    verify-props chains run one vertex above the table, and verify-thm1
+    builds source slices up to v = 2b + 1 and skeleton shapes up to v = 2b
+    with e = 6b from the loop order b alone."""
+    v_hi = vertex_range(args)[1]
+    if args.command == "enumerate":
+        return [(v_hi, args.edges_max, BOUNDS)]
+    if args.command == "homology":
+        return [(v_hi + 1, v_hi + 1 + args.loop_order, BOUNDS)]
+    if args.command == "verify-props":
+        return [(args.vertices_max + 1, args.vertices_max + 2, BOUNDS)]
+    if args.command == "verify-thm1":
+        b = max(thm1_orders(args))
+        return [(2 * b + 1, 3 * b + 1, BOUNDS), (2 * b, 6 * b, SHAPE_BOUNDS)]
+    return []
+
+
 def check_args(args):
     """Usage errors caught before any work: a count out of range, bounds
-    over the defaults without --force, and a malformed --window."""
+    over the defaults without --force (the flags, then the top slices the
+    command builds), a malformed --window and a missing loop order."""
     for flag, value, low in (
         ("--colors", args.colors, 0),
         ("--workers", args.workers, 1),
@@ -122,6 +154,14 @@ def check_args(args):
         raise UsageError(f"requested bounds exceed defaults {BOUNDS}; pass --force to override")
     if args.window is not None:
         parse_window(args.window)
+    if args.command == "homology" and args.loop_order is None:
+        raise UsageError("homology needs --loop-order")
+    for v, e, bounds in top_slices(args):
+        if (v > bounds["v"] or e > bounds["e"]) and not args.force:
+            raise UsageError(
+                f"{args.command} builds the slice (v={v}, e={e}), which exceeds the default "
+                f"bounds {bounds}; pass --force to override"
+            )
 
 
 class UsageError(Exception):
@@ -129,237 +169,151 @@ class UsageError(Exception):
 
 
 def run_jobs(jobs, workers):
-    """Evaluate (key, fn, args) jobs; results sorted by key.  ``fn`` is a
-    module-level function, which the process pool pickles by name."""
-    results = []
+    """Evaluate (key, fn, args) jobs, each returning a list of rows, and
+    concatenate their rows in key order.  ``fn`` is a module-level
+    function, which the process pool pickles by name."""
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(key, pool.submit(fn, *args)) for key, fn, args in jobs]
-            for key, fut in futures:
-                results.append((key, fut.result()))
+            futures = [(key, pool.submit(fn, *fn_args)) for key, fn, fn_args in jobs]
+            results = [(key, fut.result()) for key, fut in futures]
     else:
-        for key, fn, args in jobs:
-            results.append((key, fn(*args)))
+        results = [(key, fn(*fn_args)) for key, fn, fn_args in jobs]
     results.sort(key=lambda kv: kv[0])
-    return results
+    return [row for _, rows in results for row in rows]
 
 
 def _job_enumerate(v, e, k, n, constraints, force):
     sl = enumerate_basis(SliceParams(v, e, k, n, constraints), force=force)
-    return {"v": v, "e": e, "b": e - v, "degree": sl.degree, "value": len(sl)}
+    return [Row(v, e, e - v, sl.degree, len(sl))]
 
 
-def _job_dsq_chain(b, k, n, constraints, v_max, e_max, force):
-    v_top = min(v_max, e_max - b) if e_max - b >= 1 else 0
-    rows = []
-    if v_top < 1:
-        return rows
+def _job_dsq_chain(b, k, n, constraints, v_top, force):
     chain = slice_chain(b, k, n, constraints, v_max=v_top, force=force)
-    mats = []
-    for a, c in zip(chain, chain[1:]):
-        mats.append(differential_matrix(a, c) if len(a) and len(c) else None)
-    for i in range(len(mats) - 1):
-        m_hi, m_lo = mats[i], mats[i + 1]
-        src = chain[i]
-        ok = True
-        if m_hi is not None and m_lo is not None:
-            ok = (m_lo @ m_hi).is_zero()
-        rows.append(
-            {
-                "v": src.params.v,
-                "e": src.params.e,
-                "b": b,
-                "degree": src.degree,
-                "value": "pass" if ok else "fail",
-            }
-        )
-    return rows
-
-
-def _job_homology(b, k, n, constraints, v_max, force):
-    chain = slice_chain(b, k, n, constraints, v_max=v_max + 1, force=force)
+    mats = [differential_matrix(a, c) if len(a) and len(c) else None for a, c in zip(chain, chain[1:])]
     rows = []
-    for v, degree, dim in homology_dims(chain):
-        if v <= v_max:
-            rows.append({"v": v, "e": v + b, "b": b, "degree": degree, "value": dim})
-    rows.sort(key=lambda r: r["v"])
+    for src, m_hi, m_lo in zip(chain, mats, mats[1:]):
+        ok = m_hi is None or m_lo is None or (m_lo @ m_hi).is_zero()
+        rows.append(Row(src.params.v, src.params.e, b, src.degree, "pass" if ok else "fail"))
     return rows
+
+
+def _job_homology(b, k, n, constraints, v_lo, v_hi, force):
+    chain = slice_chain(b, k, n, constraints, v_max=v_hi + 1, force=force)
+    return sorted(
+        Row(v, v + b, b, degree, dim) for v, degree, dim in homology_dims(chain) if v_lo <= v <= v_hi
+    )
 
 
 def _job_chain_slice(v, e, n, force):
-    params = SliceParams(v, e, 0, n, REDUCED_CONSTRAINTS)
-    sl = enumerate_basis(params, force=force)
-    parity = Parity.from_n(n)
-    bad = 0
-    for g in sl.basis:
-        report = verify_chain_map(g, parity)
-        if not report.ok:
-            bad += 1
-    return {
-        "v": v,
-        "e": e,
-        "b": e - v,
-        "degree": sl.degree,
-        "value": "pass" if bad == 0 else f"fail:{bad}",
-    }
+    sl = enumerate_basis(SliceParams(v, e, 0, n, REDUCED_CONSTRAINTS), force=force)
+    bad = sum(not verify_chain_map(g, Parity.from_n(n)).ok for g in sl.basis)
+    return [Row(v, e, e - v, sl.degree, "pass" if bad == 0 else f"fail:{bad}")]
 
 
 def _job_thm1(b, n, force):
-    report = verify_quasi_iso(b, 0, n, force=force)
-    rows = []
-    for r in report.rows:
-        rows.append(
-            {
-                "v": r.v,
-                "e": r.v + b if r.v >= 1 else None,
-                "b": b,
-                "degree": r.degree,
-                "value": f"pass:dim={r.dim_source}" if r.ok else "fail",
-            }
-        )
-    return rows
+    return [
+        Row(r.v, r.v + b if r.v >= 1 else None, b, r.degree,
+            f"pass:dim={r.dim_source}" if r.ok else "fail")
+        for r in verify_quasi_iso(b, 0, n, force=force).rows
+    ]
 
 
 def _job_props_valence(b, k, n, v_max, force):
     full = frozenset({Constraint.CONNECTED})
-    atleast2 = frozenset({Constraint.CONNECTED, Constraint.MIN_VALENCE_2})
+    full_dims, min2_dims = (
+        {v: dim for v, _, dim in homology_dims(slice_chain(b, k, n, cons, v_max=v_max + 1, force=force))}
+        for cons in (full, full | {Constraint.MIN_VALENCE_2})
+    )
     rows = []
-    dims = {}
-    for label, cons in (("full", full), ("min2", atleast2)):
-        chain = slice_chain(b, k, n, cons, v_max=v_max + 1, force=force)
-        dims[label] = {v: dim for v, _, dim in homology_dims(chain)}
     for v in range(1, v_max + 1):
-        a = dims["full"].get(v, 0)
-        c = dims["min2"].get(v, 0)
-        params = SliceParams(v, v + b, k, n, full)
-        rows.append(
-            {
-                "v": v,
-                "e": v + b,
-                "b": b,
-                "degree": params.degree,
-                "value": f"pass:dim={a}" if a == c else f"fail:{a}!={c}",
-            }
-        )
+        a, c = full_dims.get(v, 0), min2_dims.get(v, 0)
+        degree = SliceParams(v, v + b, k, n, full).degree
+        rows.append(Row(v, v + b, b, degree, f"pass:dim={a}" if a == c else f"fail:{a}!={c}"))
     return rows
 
 
-def _job_props_quotient(b, family_value, m, force):
-    family = SkeletonFamily(family_value)
-    u_max = 5 * b + 1
-    rows_raw, _ = skeleton_homology_dims(b, 0, m, family, u_max=u_max, force=force)
-    rows = []
-    for u, dim in rows_raw:
-        rows.append(
-            {
-                "v": None,
-                "e": None,
-                "b": b,
-                "degree": u - m + (1 - m) * b,
-                "value": "pass" if dim == 0 else f"fail:dim={dim}",
-            }
-        )
-    return rows
+def _job_props_quotient(b, family, m, force):
+    dims, slices = skeleton_homology_dims(b, 0, m, family, u_max=5 * b + 1, force=force)
+    return [
+        Row(None, None, b, slices[u].degree, "pass" if dim == 0 else f"fail:dim={dim}")
+        for u, dim in dims
+    ]
 
 
-def cmd_enumerate(args):
+def jobs_enumerate(args):
+    constraints = parse_constraints(args.constraints)
+    v_lo, v_hi = vertex_range(args)
+    return [
+        ((v, e), _job_enumerate, (v, e, args.colors, args.n, constraints, args.force))
+        for v in range(v_lo, v_hi + 1)
+        for e in range(args.edges_max + 1)
+        if args.loop_order in (None, e - v)
+    ]
+
+
+def jobs_homology(args):
+    constraints = parse_constraints(args.constraints)
+    b = args.loop_order
+    job_args = (b, args.colors, args.n, constraints, *vertex_range(args), args.force)
+    return [(b, _job_homology, job_args)]
+
+
+def jobs_verify_dsq(args):
     constraints = parse_constraints(args.constraints)
     jobs = []
-    v_lo, v_hi = (1, args.vertices_max)
-    if args.window:
-        v_lo, v_hi = parse_window(args.window)
-    for v in range(v_lo, v_hi + 1):
-        if args.loop_order is not None:
-            e_list = [v + args.loop_order] if 0 <= v + args.loop_order <= args.edges_max else []
-        else:
-            e_list = range(0, args.edges_max + 1)
-        for e in e_list:
-            jobs.append(((v, e), _job_enumerate, (v, e, args.colors, args.n, constraints, args.force)))
-    results = run_jobs(jobs, args.workers)
-    return [row for _, row in results], True
+    for b in range(-1, args.edges_max):
+        v_top = min(args.vertices_max, args.edges_max - b)
+        jobs.append((b, _job_dsq_chain, (b, args.colors, args.n, constraints, v_top, args.force)))
+    return jobs
 
 
-def cmd_homology(args):
-    if args.loop_order is None:
-        raise UsageError("homology needs --loop-order")
-    constraints = parse_constraints(args.constraints)
-    v_min, v_max = 1, args.vertices_max
-    if args.window:
-        v_min, v_max = parse_window(args.window)
-    rows = _job_homology(args.loop_order, args.colors, args.n, constraints, v_max, args.force)
-    rows = [r for r in rows if r["v"] >= v_min]
-    return rows, True
-
-
-def cmd_verify_dsq(args):
-    constraints = parse_constraints(args.constraints)
-    jobs = []
-    for b in range(-1, args.edges_max - 1 + 1):
-        job_args = (b, args.colors, args.n, constraints, args.vertices_max, args.edges_max, args.force)
-        jobs.append((b, _job_dsq_chain, job_args))
-    results = run_jobs(jobs, args.workers)
-    rows = [row for _, chunk in results for row in chunk]
-    return rows, all(r["value"] == "pass" for r in rows)
-
-
-def cmd_verify_chain(args):
-    jobs = []
+def jobs_verify_chain(args):
     # the expanded cross-check canonicalizes graphs on e + 1 vertices,
     # so the edge bound stays small unless forced
-    v_hi = min(args.vertices_max, 4) if not args.force else args.vertices_max
-    e_hi = min(args.edges_max, 6) if not args.force else args.edges_max
-    for v in range(1, v_hi + 1):
-        for e in range(v - 1, e_hi + 1):
-            if 3 * v <= 2 * e:
-                jobs.append(((v, e), _job_chain_slice, (v, e, args.n, args.force)))
-    results = run_jobs(jobs, args.workers)
-    rows = [row for _, row in results]
-    return rows, all(r["value"] == "pass" for r in rows)
+    v_hi = args.vertices_max if args.force else min(args.vertices_max, 4)
+    e_hi = args.edges_max if args.force else min(args.edges_max, 6)
+    return [
+        ((v, e), _job_chain_slice, (v, e, args.n, args.force))
+        for v in range(1, v_hi + 1)
+        for e in range(v - 1, e_hi + 1)
+        if 3 * v <= 2 * e
+    ]
 
 
-def cmd_verify_thm1(args):
-    orders = [args.loop_order] if args.loop_order is not None else [1, 2]
-    jobs = [(b, _job_thm1, (b, args.n, args.force)) for b in orders]
-    results = run_jobs(jobs, args.workers)
-    rows = [row for _, chunk in results for row in chunk]
-    return rows, all(r["value"].startswith("pass") for r in rows)
+def jobs_verify_thm1(args):
+    return [(b, _job_thm1, (b, args.n, args.force)) for b in thm1_orders(args)]
 
 
-def cmd_verify_props(args):
-    jobs = []
-    for b in (-1, 0, 1):
-        job_args = (b, args.colors, args.n, args.vertices_max, args.force)
-        jobs.append((("valence", b), _job_props_valence, job_args))
+def jobs_verify_props(args):
+    jobs = [
+        (("valence", b), _job_props_valence, (b, args.colors, args.n, args.vertices_max, args.force))
+        for b in (-1, 0, 1)
+    ]
     m = args.n if args.n % 2 == 1 else args.n + 1
-    for b in (1, 2):
-        for family in (SkeletonFamily.TADPOLE_SUB, SkeletonFamily.MULTI_SUB):
-            job_args = (b, family.value, m, args.force)
-            jobs.append((("quotient", b, family.value), _job_props_quotient, job_args))
-    results = run_jobs(jobs, args.workers)
-    rows = [row for _, chunk in results for row in chunk]
-    return rows, all(str(r["value"]).startswith("pass") for r in rows)
+    jobs += [
+        (("quotient", b, family.value), _job_props_quotient, (b, family, m, args.force))
+        for b in (1, 2)
+        for family in (SkeletonFamily.TADPOLE_SUB, SkeletonFamily.MULTI_SUB)
+    ]
+    return jobs
 
 
 COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "homology": cmd_homology,
-    "verify-dsq": cmd_verify_dsq,
-    "verify-chain": cmd_verify_chain,
-    "verify-thm1": cmd_verify_thm1,
-    "verify-props": cmd_verify_props,
+    "enumerate": jobs_enumerate,
+    "homology": jobs_homology,
+    "verify-dsq": jobs_verify_dsq,
+    "verify-chain": jobs_verify_chain,
+    "verify-thm1": jobs_verify_thm1,
+    "verify-props": jobs_verify_props,
 }
 
 
+# the flags a record reports; the homology cache keys on them
+PARAMS = ("n", "colors", "vertices_max", "edges_max", "loop_order", "constraints", "window")
+
+
 def params_dict(args):
-    return {
-        "n": args.n,
-        "colors": args.colors,
-        "vertices_max": args.vertices_max,
-        "edges_max": args.edges_max,
-        "loop_order": args.loop_order,
-        "constraints": args.constraints,
-        "window": args.window,
-    }
+    return {name: getattr(args, name) for name in PARAMS}
 
 
 def render(record, fmt):
@@ -367,21 +321,20 @@ def render(record, fmt):
         return result_cache.canonical_json(record) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["v", "e", "b", "degree", "value"])
-    for row in record["rows"]:
-        writer.writerow([row["v"], row["e"], row["b"], row["degree"], row["value"]])
+    writer.writerow(Row._fields)
+    writer.writerows([row[field] for field in Row._fields] for row in record["rows"])
     return buf.getvalue()
 
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
+    verify = args.command.startswith("verify-")
     try:
         check_args(args)
+        jobs = COMMANDS[args.command](args)
         start = time.time()
-        cached = None
-        key = None
-        cache_dir = args.cache_dir or result_cache.default_cache_dir()
         if args.command == "homology":
+            cache_dir = args.cache_dir or result_cache.default_cache_dir()
             code = result_cache.code_hash()
             key = result_cache.record_key("homology", params_dict(args), code)
             try:
@@ -389,11 +342,11 @@ def main(argv=None):
             except result_cache.CacheCorruption as exc:
                 print(f"warning: {exc}", file=sys.stderr)
                 cached = None
-        if cached is not None:
-            sys.stdout.write(render(cached, args.output))
-            return 0
-        rows, ok = COMMANDS[args.command](args)
-        if not rows and args.command.startswith("verify-"):
+            if cached is not None:
+                sys.stdout.write(render(cached, args.output))
+                return 0
+        rows = run_jobs(jobs, args.workers)
+        if verify and not rows:
             raise UsageError(
                 f"{args.command}: --vertices-max {args.vertices_max} and --edges-max "
                 f"{args.edges_max} leave nothing to check"
@@ -401,13 +354,13 @@ def main(argv=None):
         record = {
             "command": args.command,
             "params": params_dict(args),
-            "rows": rows,
+            "rows": [row._asdict() for row in rows],
             "timing": round(time.time() - start, 6),
         }
-        if args.command == "homology" and key is not None:
+        if args.command == "homology":
             result_cache.store(cache_dir, key, code, record)
         sys.stdout.write(render(record, args.output))
-        return 0 if ok else 1
+        return 1 if verify and not all(row.value.startswith("pass") for row in rows) else 0
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -88,7 +88,7 @@ class ColoredGraph:
         return sort_key(self) < sort_key(other)
 
 
-def make_graph(v, edges, colors=None, check=True):
+def make_graph(v, edges, colors=None):
     """Build a ColoredGraph from (tail, head) pairs and color-sign rows."""
     if colors is None:
         colors = [()] * len(edges)
@@ -97,8 +97,7 @@ def make_graph(v, edges, colors=None, check=True):
     k = len(colors[0]) if colors else 0
     records = tuple(tuple(e) + tuple(c) for e, c in zip(edges, colors))
     g = ColoredGraph(v, k, records)
-    if check:
-        check_graph(g)
+    check_graph(g)
     return g
 
 

@@ -165,13 +165,29 @@ def has_multiple_edge(sg):
     return False
 
 
+class SkeletonFamily(enum.Enum):
+    SPECIAL = "special"            # the full solid/dotted complex
+    SIMPLE = "simple"              # quotient without tadpoles or multiple edges
+    TADPOLE_SUB = "tadpole_sub"    # graphs with a dotted tadpole
+    MULTI_SUB = "multi_sub"        # no tadpole, at least one multiple edge
+
+
+def quotient_kills(sg, family, parity):
+    """Whether the family's quotient sends sg to zero: the odd-parity
+    SIMPLE quotient kills dotted tadpoles and multiple edges, and MULTI_SUB
+    kills dotted tadpoles.  The other families are subcomplexes."""
+    if family is SkeletonFamily.SIMPLE:
+        return parity is Parity.ODD and (has_dotted_tadpole(sg) or has_multiple_edge(sg))
+    return family is SkeletonFamily.MULTI_SUB and has_dotted_tadpole(sg)
+
+
 def project_to_simple(sg: SkeletonGraph, parity: Parity) -> CanonicalClass:
     """Quotient by tadpole-bearing and multiple-edge-bearing graphs.
 
     The quotient only exists for odd m; for even m the projection is the
     identity and this just canonicalizes.
     """
-    if parity is Parity.ODD and (has_dotted_tadpole(sg) or has_multiple_edge(sg)):
+    if quotient_kills(sg, SkeletonFamily.SIMPLE, parity):
         return ZERO
     return canonicalize_skeleton(sg, parity)
 
@@ -428,13 +444,6 @@ def _other_end(rec, x):
 # graded bases
 
 
-class SkeletonFamily(enum.Enum):
-    SPECIAL = "special"            # the full solid/dotted complex
-    SIMPLE = "simple"              # quotient without tadpoles or multiple edges
-    TADPOLE_SUB = "tadpole_sub"    # graphs with a dotted tadpole
-    MULTI_SUB = "multi_sub"        # no tadpole, at least one multiple edge
-
-
 @dataclass(frozen=True)
 class SkeletonSliceParams:
     """One shape: v skeleton vertices, given solid and dotted counts."""
@@ -452,19 +461,13 @@ class SkeletonSliceParams:
 
 
 def _family_admits(sg, family, parity):
-    if not is_valid_special(sg):
+    if not is_valid_special(sg) or quotient_kills(sg, family, parity):
         return False
-    if family is SkeletonFamily.SPECIAL:
-        return True
-    if family is SkeletonFamily.SIMPLE:
-        if parity is Parity.EVEN:
-            return True
-        return not (has_dotted_tadpole(sg) or has_multiple_edge(sg))
     if family is SkeletonFamily.TADPOLE_SUB:
         return has_dotted_tadpole(sg)
     if family is SkeletonFamily.MULTI_SUB:
-        return not has_dotted_tadpole(sg) and has_multiple_edge(sg)
-    raise ValueError(family)
+        return has_multiple_edge(sg)
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -515,6 +518,10 @@ class SkeletonDegreeSlice:
     def __len__(self):
         return len(self.basis)
 
+    @property
+    def degree(self) -> int:
+        return self.u - self.n + (1 - self.n) * self.b
+
 
 def skeleton_degree_slice(b, u, k, n, family, force=False) -> SkeletonDegreeSlice:
     basis = []
@@ -528,7 +535,6 @@ def skeleton_degree_slice(b, u, k, n, family, force=False) -> SkeletonDegreeSlic
             continue
         params = SkeletonSliceParams(v, s, d, k, n, family)
         basis.extend(enumerate_skeleton_shape(params, force=force))
-    basis.sort(key=lambda g: (g.v, sk_sort_key(g)))
     return SkeletonDegreeSlice(b, u, k, n, family, tuple(basis))
 
 
@@ -538,18 +544,10 @@ class SkeletonClosureError(RuntimeError):
 
 def projected_skeleton_differential(sg, parity, family) -> TermVector:
     """The differential composed with the family's quotient projection."""
-    vec = skeleton_differential(sg, parity)
-    if family in (SkeletonFamily.SPECIAL, SkeletonFamily.TADPOLE_SUB):
-        return vec
     out = TermVector()
-    for rep, coeff in vec.terms.items():
-        if family is SkeletonFamily.SIMPLE and parity is Parity.ODD:
-            if has_dotted_tadpole(rep) or has_multiple_edge(rep):
-                continue
-        if family is SkeletonFamily.MULTI_SUB:
-            if has_dotted_tadpole(rep):
-                continue
-        out.add(rep, coeff)
+    for rep, coeff in skeleton_differential(sg, parity).terms.items():
+        if not quotient_kills(rep, family, parity):
+            out.add(rep, coeff)
     return out
 
 

@@ -37,6 +37,8 @@ from .complexes import (
     BasisSlice,
     REDUCED_CONSTRAINTS,
     differential_in_slice,
+    differential_matrix,
+    slice_chain,
 )
 from .linalg import SparseRationalMatrix, homology, kernel_basis, matrix_from_columns, matrix_of, rank
 from .skeleton import (
@@ -45,9 +47,8 @@ from .skeleton import (
     SkeletonGraph,
     canonicalize_skeleton,
     expand_dotted,
-    has_dotted_tadpole,
-    has_multiple_edge,
     project_to_simple,
+    quotient_kills,
     skeleton_degree_slice,
     skeleton_differential,
     skeleton_differential_matrix,
@@ -251,11 +252,7 @@ def verify_chain_map(g: ColoredGraph, n_parity: Parity, expanded=True) -> ChainM
             return expand_dotted(rep, m_parity)
 
         expanded_equal = lhs.mapped(expand) == rhs.mapped(expand)
-    vacuous = True
-    if m_parity is Parity.ODD:
-        for rep in hvec.terms:
-            if has_dotted_tadpole(rep) or has_multiple_edge(rep):
-                vacuous = False
+    vacuous = not any(quotient_kills(rep, SkeletonFamily.SIMPLE, m_parity) for rep in hvec.terms)
     return ChainMapReport(
         graph=g,
         native_equal=native_equal,
@@ -315,24 +312,13 @@ def verify_quasi_iso(b: int, k: int, n: int, force=False) -> QuasiIsoReport:
     Only the k = 0 source is naturally bounded (vertices at most 2b); the
     whole chain is finite there and the comparison is exact.
     """
-    from .complexes import SliceParams, differential_matrix, enumerate_basis
-
     if k != 0:
         raise ValueError("the exact end-to-end comparison is implemented for k = 0 sources")
-    n_parity = Parity.from_n(n)
-    family = SkeletonFamily.SIMPLE
-    v_hi = 2 * b
-    gc = {}
-    for v in range(1, v_hi + 2):
-        e = v + b
-        if e < 0:
-            continue
-        gc[v] = enumerate_basis(
-            SliceParams(v, e, 0, n, REDUCED_CONSTRAINTS), force=force
-        )
+    chain = slice_chain(b, 0, n, REDUCED_CONSTRAINTS, v_max=2 * b + 1, force=force)
+    gc = {sl.params.v: sl for sl in chain}
     u_hi = 5 * b
     sk = {
-        u: skeleton_degree_slice(b, u, 0, n + 1, family, force=force)
+        u: skeleton_degree_slice(b, u, 0, n + 1, SkeletonFamily.SIMPLE, force=force)
         for u in range(1, u_hi + 2)
     }
     gc_mat, gc_dims = homology(gc, differential_matrix)
@@ -345,8 +331,7 @@ def verify_quasi_iso(b: int, k: int, n: int, force=False) -> QuasiIsoReport:
         induced_ok = True
         if dim_s or dim_t:
             induced_ok = _induced_iso(gc, gc_mat, sk, sk_mat, v, u, dim_s, dim_t)
-        degree = u - (n + 1) + (1 - (n + 1)) * b
-        rows.append(QuasiIsoRow(v, u, degree, dim_s, dim_t, induced_ok))
+        rows.append(QuasiIsoRow(v, u, sk[u].degree, dim_s, dim_t, induced_ok))
     return QuasiIsoReport(b, k, n, rows)
 
 

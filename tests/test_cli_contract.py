@@ -1,15 +1,18 @@
-"""CLI contract: the cache never replays records of other code, and
-internal errors have their own exit code."""
+"""CLI contract: the cache never replays records of other code, a failed
+verdict exits 1, and usage and internal errors have their own exit codes."""
 
 import json
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from ogc import cache as result_cache
 from ogc import cli
 from ogc.complexes import BasisClosureError
-from ogc.skeleton import SkeletonClosureError
-from ogc.treemap import ImageClosureError
+from ogc.linalg import SparseRationalMatrix
+from ogc.skeleton import SkeletonClosureError, skeleton_homology_dims
+from ogc.treemap import ImageClosureError, verify_quasi_iso
 
 HOMOLOGY = ["--command", "homology", "--n", "1", "--loop-order", "1", "--vertices-max", "2"]
 
@@ -155,3 +158,61 @@ def test_verify_with_nothing_to_check_is_a_usage_error(command, capsys, tmp_path
     assert out == ""
     assert err.startswith(f"error: {command}: ") and "nothing to check" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, top",
+    [
+        (["--command", "homology", "--loop-order", "5", "--vertices-max", "7"], "(v=8, e=13)"),
+        (["--command", "verify-props", "--vertices-max", "8"], "(v=9, e=10)"),
+    ],
+    ids=["homology", "verify-props"],
+)
+def test_top_slice_over_bounds_is_a_usage_error(argv, top, capsys, tmp_path):
+    # the flags are within the bounds, but the chain runs one vertex above them
+    code, out, err = run_cli(argv + ["--cache-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert top in err and "--force" in err and "force=True" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def _all_ones(src, dst):
+    entries = {(i, j): Fraction(1) for i in range(len(dst)) for j in range(len(src))}
+    return SparseRationalMatrix(len(dst), len(src), entries)
+
+
+def _thm1_dims_differ(b, k, n, force=False):
+    report = verify_quasi_iso(b, k, n, force=force)
+    report.rows[0].dim_target += 1
+    return report
+
+
+def _quotient_not_acyclic(*args, **kwargs):
+    dims, slices = skeleton_homology_dims(*args, **kwargs)
+    return [(u, dim + 1) for u, dim in dims], slices
+
+
+@pytest.mark.parametrize(
+    "target, fake, argv",
+    [
+        (
+            "differential_matrix",
+            _all_ones,
+            ["--command", "verify-dsq", "--colors", "1", "--vertices-max", "3", "--edges-max", "3",
+             "--constraints", "connected"],
+        ),
+        ("verify_chain_map", lambda g, parity: SimpleNamespace(ok=False), ["--command", "verify-chain"]),
+        ("verify_quasi_iso", _thm1_dims_differ, ["--command", "verify-thm1", "--loop-order", "1"]),
+        ("skeleton_homology_dims", _quotient_not_acyclic, ["--command", "verify-props", "--vertices-max", "2"]),
+    ],
+    ids=["verify-dsq", "verify-chain", "verify-thm1", "verify-props"],
+)
+def test_failed_verdict_exits_1(target, fake, argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, target, fake)
+    code, out, err = run_cli(argv + ["--cache-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == ""
+    values = [row["value"] for row in json.loads(out)["rows"]]
+    assert any(value.startswith("fail") for value in values)
