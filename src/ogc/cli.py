@@ -21,7 +21,8 @@ error (a verify command whose bounds leave nothing to check is one, and so
 is a slice over the default bounds without --force), and 3 is an internal
 error: a differential or comparison-map term fell outside the enumerated
 target basis (a basis, skeleton or image closure error), reported as one
-``internal error: ...`` line on stderr.
+``internal error: ...`` line on stderr.  4 means the command ran out of
+memory (``error: out of memory: ...``); no record is printed.
 """
 
 from __future__ import annotations
@@ -117,16 +118,20 @@ def make_parser():
 
 
 def top_slices(args):
-    """(v, e, bounds) of the largest slices a command builds beyond its
-    flags: enumerate and homology take v from --window, the homology and
-    verify-props chains run one vertex above the table, and verify-thm1
-    builds source slices up to v = 2b + 1 and skeleton shapes up to v = 2b
-    with e = 6b from the loop order b alone."""
+    """(v, e, bounds) of the largest slices a command builds: enumerate
+    and homology take v from --window, the homology and verify-props
+    chains run one vertex above the table, verify-dsq's chains reach v =
+    --edges-max + 1 at most and e = --edges-max, and verify-thm1 builds
+    source slices up to v = 2b + 1 and skeleton shapes up to v = 2b with
+    e = 6b from the loop order b alone.  verify-chain stays within the
+    bounds unless forced."""
     v_hi = vertex_range(args)[1]
     if args.command == "enumerate":
         return [(v_hi, args.edges_max, BOUNDS)]
     if args.command == "homology":
         return [(v_hi + 1, v_hi + 1 + args.loop_order, BOUNDS)]
+    if args.command == "verify-dsq":
+        return [(min(args.vertices_max, args.edges_max + 1), args.edges_max, BOUNDS)]
     if args.command == "verify-props":
         return [(args.vertices_max + 1, args.vertices_max + 2, BOUNDS)]
     if args.command == "verify-thm1":
@@ -136,9 +141,10 @@ def top_slices(args):
 
 
 def check_args(args):
-    """Usage errors caught before any work: a count out of range, bounds
-    over the defaults without --force (the flags, then the top slices the
-    command builds), a malformed --window and a missing loop order."""
+    """Usage errors caught before any work: a count out of range, colors
+    or constraints given to a command that fixes them, bounds over the
+    defaults without --force (the colors, then the top slices the command
+    builds), a malformed --window and a missing loop order."""
     for flag, value, low in (
         ("--colors", args.colors, 0),
         ("--workers", args.workers, 1),
@@ -149,9 +155,11 @@ def check_args(args):
             raise UsageError(f"{flag} must be at least {low}, got {value}")
     if args.command == "verify-thm1" and args.loop_order is not None and args.loop_order < 1:
         raise UsageError(f"verify-thm1 needs --loop-order at least 1, got {args.loop_order}")
-    over = args.vertices_max > BOUNDS["v"] or args.edges_max > BOUNDS["e"] or args.colors > BOUNDS["k"]
-    if over and not args.force:
-        raise UsageError(f"requested bounds exceed defaults {BOUNDS}; pass --force to override")
+    fixed = args.command in ("verify-chain", "verify-thm1")
+    if fixed and (args.colors or parse_constraints(args.constraints) != REDUCED_CONSTRAINTS):
+        raise UsageError(f"{args.command} checks uncolored reduced graphs; it takes no --colors or --constraints")
+    if args.colors > BOUNDS["k"] and not args.force:
+        raise UsageError(f"--colors {args.colors} exceeds the default bounds {BOUNDS}; pass --force to override")
     if args.window is not None:
         parse_window(args.window)
     if args.command == "homology" and args.loop_order is None:
@@ -368,6 +376,10 @@ def main(argv=None):
         lines = [line.strip() for line in str(exc).splitlines() if line.strip()]
         print(f"internal error: {' | '.join(lines)}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        detail = str(exc) or f"{args.command} needs more memory than the process may use"
+        print(f"error: out of memory: {detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

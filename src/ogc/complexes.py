@@ -30,7 +30,6 @@ from .graphs import (
     _colored_classes,
     _orbit_reps,
     _pair_degrees,
-    _pairs_connected,
     canonicalize,
     has_passing_vertex,
     sort_key,
@@ -121,28 +120,33 @@ def check_bounds(v, e, k, force=False):
 class _Multigraph:
     pairs: tuple          # sorted (t, h) pairs with t < h
     degrees: tuple
-    connected: bool
     stab: tuple           # vertex perms fixing the sorted pair multiset
 
 
 @lru_cache(maxsize=None)
-def _multigraph_reps(v: int, e: int):
+def _multigraph_reps(v: int, e: int, min_valence=0, connected=False):
     """Orbit representatives of e-edge multigraphs on v labeled vertices,
     each with its stabilizer: the degree-sorted labelings built first by
-    the orbit generator ``_orbit_reps``, disconnected ones included."""
+    the orbit generator ``_orbit_reps``.  Only those whose every degree is
+    at least ``min_valence`` and, if ``connected``, that are connected are
+    built; the defaults build all of them."""
     return tuple(
-        _Multigraph(pairs, _pair_degrees(v, pairs), _pairs_connected(v, pairs), stab)
-        for (pairs,), stab in _orbit_reps(v, ((e, False, False),))
+        _Multigraph(pairs, _pair_degrees(v, pairs), stab)
+        for (pairs,), stab in _orbit_reps(v, ((e, False, False),), connected, min_valence)
     )
 
 
+def _min_valence(k, cons):
+    """The least degree a slice admits: 2 under min_valence_2 or
+    only_2_valent, and 3 if also k = 0 and no_passing, because with no
+    colors every 2-valent vertex passes."""
+    if not cons & {Constraint.MIN_VALENCE_2, Constraint.ONLY_2_VALENT}:
+        return 0
+    return 3 if k == 0 and Constraint.NO_PASSING in cons else 2
+
+
 def _admits_degrees(M, cons):
-    """The constraints that a multigraph's connectivity and degrees decide
-    before any coloring."""
-    if Constraint.CONNECTED in cons and not M.connected:
-        return False
-    if Constraint.MIN_VALENCE_2 in cons and any(d < 2 for d in M.degrees):
-        return False
+    """The degree constraints that the orbit generator does not enforce."""
     if Constraint.ONLY_2_VALENT in cons and any(d != 2 for d in M.degrees):
         return False
     return Constraint.MIN_VALENCE_3_SOMEWHERE not in cons or any(d >= 3 for d in M.degrees)
@@ -153,16 +157,19 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
     classes removed.
 
     Works in two levels: orbit representatives of the underlying
-    multigraph that pass the degree constraints first, then the colored
-    classes on each (``graphs._colored_classes``), dropping colorings with
-    a passing vertex under the no-passing constraint.
+    multigraph that pass the connectivity and degree constraints first
+    (the generator builds only connected ones and ones of the least
+    degree the constraints admit), then the colored classes on each
+    (``graphs._colored_classes``), dropping colorings with a passing
+    vertex under the no-passing constraint.
     """
     check_constraints(params.constraints)
     check_bounds(params.v, params.e, params.k, force)
     if params.v < 1 or params.e < 0:
         raise ValueError("need v >= 1 and e >= 0")
     v, k, cons = params.v, params.k, params.constraints
-    structures = [((M.pairs,), M.stab) for M in _multigraph_reps(v, params.e) if _admits_degrees(M, cons)]
+    multigraphs = _multigraph_reps(v, params.e, _min_valence(k, cons), Constraint.CONNECTED in cons)
+    structures = [((M.pairs,), M.stab) for M in multigraphs if _admits_degrees(M, cons)]
 
     def admit(edges):
         return Constraint.NO_PASSING not in cons or not has_passing_vertex(ColoredGraph(v, k, edges[0]))

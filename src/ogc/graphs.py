@@ -253,7 +253,7 @@ def _cell_perms(cells):
         yield tuple(perm), sign
 
 
-def _orbit_reps(v, kinds, connected=False):
+def _orbit_reps(v, kinds, connected=False, min_valence=0):
     """Orbit representatives, with full stabilizers, of typed edge
     structures on v labeled vertices (orderly generation after McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).
@@ -261,7 +261,10 @@ def _orbit_reps(v, kinds, connected=False):
     ``kinds`` lists ``(count, directed, loops)``: ``count`` arcs (t, h)
     forming an acyclic digraph, or pairs t < h plus loops (t, t) if
     ``loops``.  Returns ``(edges, stab)``: one sorted tuple per kind and
-    the vertex permutations fixing it; ``connected`` keeps connected ones.
+    the vertex permutations fixing it.  Only structures that are
+    connected, if ``connected``, and whose every vertex has valence at
+    least ``min_valence`` are returned; an arc or pair end counts once
+    and a loop twice.
 
     Only labelings whose vertex signatures ((out, in) per directed kind,
     (degree, loops) per undirected one) do not increase are built.  Edges
@@ -272,6 +275,13 @@ def _orbit_reps(v, kinds, connected=False):
     one built is kept, and sweeping the block permutations marks the
     others seen and finds the stabilizer, which is all automorphisms
     because they preserve signatures.
+
+    Valence and connectivity are isomorphism invariants, so a branch may
+    also die once every completion is rejected: when the last completed
+    vertex ends below ``min_valence``, or the later vertices miss more
+    valence than the remaining edges have ends.  Such a branch holds only
+    labelings of rejected orbits, so every kept orbit has the same
+    representative, stabilizer and position as without the filters.
     """
     alphabet, opens = [], set()
     for a in range(v):
@@ -280,17 +290,21 @@ def _orbit_reps(v, kinds, connected=False):
             for kind, (_, directed, loops) in enumerate(kinds):
                 if a == b:
                     if loops:
-                        alphabet.append((kind, a, a, a, ((a, 2 * kind + 1),)))
+                        alphabet.append((kind, a, a, a, ((a, 2 * kind + 1, 2),)))
                 else:
-                    alphabet.append((kind, a, b, a, ((a, 2 * kind), (b, 2 * kind + directed))))
+                    alphabet.append((kind, a, b, a, ((a, 2 * kind, 1), (b, 2 * kind + directed, 1))))
                     if directed:
-                        alphabet.append((kind, b, a, a, ((b, 2 * kind), (a, 2 * kind + 1))))
+                        alphabet.append((kind, b, a, a, ((b, 2 * kind, 1), (a, 2 * kind + 1, 1))))
     last = {entry[0]: i for i, entry in enumerate(alphabet)}
     if any(count and kind not in last for kind, (count, _, _) in enumerate(kinds)):
+        return ()
+    m = min_valence
+    if m * v > 2 * sum(count for count, _, _ in kinds):
         return ()
     rem = [count for count, _, _ in kinds]
     done = [0] * len(kinds)
     sig = [[0] * (2 * len(kinds)) for _ in range(v)]
+    val = [0] * v  # valences; each bump says what its edge adds
     chosen = [[] for _ in kinds]
     seen, reps = set(), []
 
@@ -302,6 +316,8 @@ def _orbit_reps(v, kinds, connected=False):
 
     def leaf():
         if sig != sorted(sig, reverse=True):
+            return
+        if m and min(val) < m:
             return
         if connected and not _pairs_connected(v, [p for es in chosen for p in es]):
             return
@@ -324,10 +340,15 @@ def _orbit_reps(v, kinds, connected=False):
             if rem == done:
                 return leaf()
             kind, t, h, a, bumps = alphabet[i]
-            # entering vertex a's entries, vertex a - 1 is complete and no
-            # later vertex may outrank it
-            if a and i in opens and max(sig[a:]) > sig[a - 1]:
-                return
+            # entering vertex a's entries, vertex a - 1 is complete: no
+            # later vertex may outrank it, it must reach the minimum
+            # valence, and the remaining edges must cover what the later
+            # vertices miss
+            if a and i in opens:
+                if max(sig[a:]) > sig[a - 1]:
+                    return
+                if m and (val[a - 1] < m or sum(max(0, m - d) for d in val[a:]) > 2 * sum(rem)):
+                    return
             if rem[kind]:
                 break
             i += 1
@@ -346,13 +367,15 @@ def _orbit_reps(v, kinds, connected=False):
                 break
             added += 1
             chosen[kind].append((t, h))
-            for x, c in bumps:
+            for x, c, w in bumps:
                 sig[x][c] += 1
+                val[x] += w
             if a and (sig[t] > sig[a - 1] or sig[h] > sig[a - 1]):
                 break
         del chosen[kind][len(chosen[kind]) - added:]
-        for x, c in bumps:
+        for x, c, w in bumps:
             sig[x][c] -= added
+            val[x] -= w * added
         rem[kind] = count
 
     extend(0)

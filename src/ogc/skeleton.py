@@ -471,30 +471,37 @@ def _family_admits(sg, family, parity):
 
 
 @lru_cache(maxsize=None)
-def _skeleton_structures(v, n_solid, n_dotted):
+def _skeleton_structures(v, n_solid, n_dotted, min_valence=0):
     """Orbit representatives of connected (directed acyclic solid,
     undirected dotted) edge structures, with stabilizers: the labelings
     with sorted (solid out, solid in, dotted degree, dotted loops)
-    signatures built first by the orbit generator ``_orbit_reps``."""
+    signatures built first by the orbit generator ``_orbit_reps``.  Only
+    those whose every vertex has valence at least ``min_valence`` are
+    built, a dotted tadpole counting twice; the default builds all."""
     kinds = ((n_solid, True, False), (n_dotted, False, True))
-    return tuple((s, d, stab) for (s, d), stab in _orbit_reps(v, kinds, connected=True))
+    return tuple((s, d, stab) for (s, d), stab in _orbit_reps(v, kinds, True, min_valence))
 
 
 def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     """Canonical classes of one (v, solids, dotteds) shape, sorted.
 
     Two levels, like the ordinary basis enumeration: connected structures
-    up to relabeling first, then the colored classes on each
-    (``graphs._colored_classes``) that the family admits, stored as their
-    ``canonicalize_skeleton`` representatives.
+    of the least valence the complex admits, up to relabeling, first,
+    then the colored classes on each (``graphs._colored_classes``) that
+    the family admits, stored as their ``canonicalize_skeleton``
+    representatives.  A shape whose edges have too few ends for that
+    valence is empty, and builds nothing whatever its size.
     """
-    v, k = params.v, params.k
-    e = params.n_solid + 2 * params.n_dotted
-    if not force and (v > SHAPE_BOUNDS["v"] or e > SHAPE_BOUNDS["e"] or k > SHAPE_BOUNDS["k"]):
+    v, k, s, d = params.v, params.k, params.n_solid, params.n_dotted
+    # the least valence is_valid_special admits: without base colors
+    # every 2-valent vertex passes
+    m = 3 if k == 0 else 2
+    if m * v > 2 * (s + d):
+        return ()  # empty before any bound applies
+    if not force and (v > SHAPE_BOUNDS["v"] or s + 2 * d > SHAPE_BOUNDS["e"] or k > SHAPE_BOUNDS["k"]):
         raise ValueError(f"shape {params} exceeds default bounds; pass force=True")
     parity = params.parity
-    shapes = _skeleton_structures(v, params.n_solid, params.n_dotted)
-    structures = (((solids, dotteds), stab) for solids, dotteds, stab in shapes)
+    structures = (((solids, dotteds), stab) for solids, dotteds, stab in _skeleton_structures(v, s, d, m))
 
     def admit(edges):
         return _family_admits(SkeletonGraph(v, k, *edges), params.family, parity)
@@ -529,9 +536,6 @@ def skeleton_degree_slice(b, u, k, n, family, force=False) -> SkeletonDegreeSlic
         d = u - v
         s = v + b - d
         if s < 0 or d < 0:
-            continue
-        if k == 0 and 3 * v > 2 * (s + d):
-            # without base colors every vertex must be at least 3-valent
             continue
         params = SkeletonSliceParams(v, s, d, k, n, family)
         basis.extend(enumerate_skeleton_shape(params, force=force))

@@ -216,3 +216,43 @@ def test_failed_verdict_exits_1(target, fake, argv, capsys, tmp_path, monkeypatc
     assert err == ""
     values = [row["value"] for row in json.loads(out)["rows"]]
     assert any(value.startswith("fail") for value in values)
+
+
+def test_out_of_memory_exits_4(capsys, tmp_path, monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enumerate_basis", exhaust)
+    argv = ["--command", "enumerate", "--vertices-max", "2", "--edges-max", "1",
+            "--constraints", "connected", "--cache-dir", str(tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--command", "homology", "--loop-order", "1", "--vertices-max", "3", "--edges-max", "13"],
+        ["--command", "verify-dsq", "--vertices-max", "9", "--edges-max", "3", "--constraints", "connected"],
+        ["--command", "verify-thm1", "--loop-order", "1", "--vertices-max", "9", "--edges-max", "13"],
+    ],
+    ids=["homology-edges-max", "verify-dsq-vertices-max", "verify-thm1-both"],
+)
+def test_bounds_apply_only_to_what_a_command_builds(argv, capsys, tmp_path):
+    # each command ignores the flag over the bounds, or builds below it
+    code, out, err = run_cli(argv + ["--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["rows"]
+
+
+@pytest.mark.parametrize("flag", [["--colors", "2"], ["--constraints", "connected"]], ids=["colors", "constraints"])
+@pytest.mark.parametrize("command", ["verify-chain", "verify-thm1"])
+def test_fixed_colors_and_constraints_are_a_usage_error(command, flag, capsys, tmp_path):
+    argv = ["--command", command, "--loop-order", "1", "--cache-dir", str(tmp_path)] + flag
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {command} ") and flag[0] in err and err.count("\n") == 1
