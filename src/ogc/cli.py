@@ -18,11 +18,12 @@ fixed configuration regardless of the worker count; timing varies.
 Exit code 0 means success, and 1 means a verification failed: a verify-*
 command passes iff every row's value starts with ``pass``.  2 is a usage
 error (a verify command whose bounds leave nothing to check is one, and so
-is a slice over the default bounds without --force), and 3 is an internal
-error: a differential or comparison-map term fell outside the enumerated
-target basis (a basis, skeleton or image closure error), reported as one
-``internal error: ...`` line on stderr.  4 means the command ran out of
-memory (``error: out of memory: ...``); no record is printed.
+are a flag the command never reads and a slice over the default bounds
+without --force), and 3 is an internal error: a differential or
+comparison-map term fell outside the enumerated target basis (a basis,
+skeleton or image closure error), reported as one ``internal error:
+...`` line on stderr.  4 means the command ran out of memory (``error:
+out of memory: ...``); no record is printed.
 """
 
 from __future__ import annotations
@@ -117,6 +118,10 @@ def make_parser():
     return p
 
 
+# the commands that read each optional flag; any other command refuses it
+FLAG_READERS = {"--loop-order": ("enumerate", "homology", "verify-thm1"), "--window": ("enumerate", "homology")}
+
+
 def top_slices(args):
     """(v, e, bounds) of the largest slices a command builds: enumerate
     and homology take v from --window, the homology and verify-props
@@ -142,9 +147,10 @@ def top_slices(args):
 
 def check_args(args):
     """Usage errors caught before any work: a count out of range, colors
-    or constraints given to a command that fixes them, bounds over the
-    defaults without --force (the colors, then the top slices the command
-    builds), a malformed --window and a missing loop order."""
+    or constraints given to a command that fixes them, a flag given to a
+    command that never reads it, bounds over the defaults without --force
+    (the colors, then the top slices the command builds), a malformed
+    --window and a missing loop order."""
     for flag, value, low in (
         ("--colors", args.colors, 0),
         ("--workers", args.workers, 1),
@@ -158,6 +164,9 @@ def check_args(args):
     fixed = args.command in ("verify-chain", "verify-thm1")
     if fixed and (args.colors or parse_constraints(args.constraints) != REDUCED_CONSTRAINTS):
         raise UsageError(f"{args.command} checks uncolored reduced graphs; it takes no --colors or --constraints")
+    for flag, readers in FLAG_READERS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.command not in readers:
+            raise UsageError(f"{args.command} does not read {flag}")
     if args.colors > BOUNDS["k"] and not args.force:
         raise UsageError(f"--colors {args.colors} exceeds the default bounds {BOUNDS}; pass --force to override")
     if args.window is not None:

@@ -313,5 +313,5 @@ def homology_dims(chain):
     for a, b in zip(chain, chain[1:]):
         if (b.params.v, b.params.e) != (a.params.v - 1, a.params.e - 1):
             raise ValueError("chain slices must step down by one vertex and one edge")
-    _, dims = homology({sl.params.v: sl for sl in chain}, differential_matrix)
+    _, _, dims = homology({sl.params.v: sl for sl in chain}, differential_matrix)
     return [(sl.params.v, sl.degree, dims[sl.params.v]) for sl in chain]

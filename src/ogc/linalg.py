@@ -1,9 +1,10 @@
 """Exact sparse rational matrices: rank, kernels, products.
 
 All arithmetic is over ``fractions.Fraction``; no floating point enters
-any rank or homology computation.  A Mersenne-prime modular rank is
-provided as a fast cross-check, but the exact elimination is always the
-authoritative answer.
+any rank or homology computation.  One elimination loop, ``_eliminate``,
+serves the exact rank, the kernel basis and a Mersenne-prime modular
+rank; the modular rank is only a fast cross-check, and the exact
+elimination is always the authoritative answer.
 """
 
 from __future__ import annotations
@@ -32,17 +33,6 @@ class SparseRationalMatrix:
     def get(self, r, c) -> Fraction:
         return self.data.get((r, c), Fraction(0))
 
-    def entries(self):
-        """Entries as a sorted list of (row, col, value)."""
-        return [(r, c, v) for (r, c), v in sorted(self.data.items())]
-
-    def columns(self):
-        """Column-major view: list of {row: value} dicts."""
-        cols = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.data.items():
-            cols[c][r] = v
-        return cols
-
     def is_zero(self) -> bool:
         return not self.data
 
@@ -64,14 +54,6 @@ class SparseRationalMatrix:
         return out
 
 
-def matrix_from_columns(rows, columns) -> SparseRationalMatrix:
-    m = SparseRationalMatrix(rows, len(columns))
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            m.set(r, c, v)
-    return m
-
-
 def matrix_of(image, src_basis, dst_basis, missing) -> SparseRationalMatrix:
     """Matrix of a linear map between two bases: column j holds the
     coefficients of ``image(src_basis[j])``, a vector with a ``terms``
@@ -88,16 +70,17 @@ def matrix_of(image, src_basis, dst_basis, missing) -> SparseRationalMatrix:
     return m
 
 
-def _eliminate(rows, inverse, reduce) -> int:
-    """Rank of a list of sparse rows ({col: value} dicts, none empty) by
-    Gaussian elimination, pivots chosen to limit fill.  ``inverse`` and
-    ``reduce`` are the field's reciprocal and the normalization applied
-    to every computed entry."""
-    rk = 0
+def _eliminate(rows, inverse, reduce):
+    """Gaussian elimination of a list of sparse rows ({col: value} dicts,
+    none empty), pivots chosen to limit fill.  Yields each pivot row as it
+    is chosen; its least column is its pivot, and the rows chosen later
+    have no entry there, so the number of rows yielded is the rank.
+    ``inverse`` and ``reduce`` are the field's reciprocal and the
+    normalization applied to every computed entry."""
     while rows:
         pivot_row = min(rows, key=len)
         rows.remove(pivot_row)
-        rk += 1
+        yield pivot_row
         pc = min(pivot_row)
         inv = inverse(pivot_row[pc])
         reduced = []
@@ -114,7 +97,10 @@ def _eliminate(rows, inverse, reduce) -> int:
             if row:
                 reduced.append(row)
         rows = reduced
-    return rk
+
+
+# the rationals' reciprocal and entry normalization, for _eliminate
+_EXACT = (lambda x: 1 / x, lambda x: x)
 
 
 def rank(m: SparseRationalMatrix) -> int:
@@ -122,7 +108,7 @@ def rank(m: SparseRationalMatrix) -> int:
     rows = {}
     for (r, c), v in m.data.items():
         rows.setdefault(r, {})[c] = v
-    return _eliminate(list(rows.values()), lambda x: 1 / x, lambda x: x)
+    return sum(1 for _ in _eliminate(list(rows.values()), *_EXACT))
 
 
 def rank_mod_p(m: SparseRationalMatrix, p: int = CHECK_PRIME) -> int:
@@ -136,7 +122,7 @@ def rank_mod_p(m: SparseRationalMatrix, p: int = CHECK_PRIME) -> int:
         val = v.numerator * pow(v.denominator % p, p - 2, p) % p
         if val:
             rows.setdefault(r, {})[c] = val
-    return _eliminate(list(rows.values()), lambda x: pow(x, p - 2, p), lambda x: x % p)
+    return sum(1 for _ in _eliminate(list(rows.values()), lambda x: pow(x, p - 2, p), lambda x: x % p))
 
 
 def homology(slices, matrix):
@@ -145,51 +131,29 @@ def homology(slices, matrix):
     ``slices`` maps each index i to a basis (anything with a length); the
     differential from slice i to slice i - 1 is ``matrix(slices[i],
     slices[i - 1])``, built when both are non-empty, and zero otherwise.
-    Each map is ranked once.  Returns the maps by i and {i: dim}.
+    Each map is ranked once.  Returns the maps and their ranks by i, and
+    {i: dim}.
     """
     maps = {
         i: matrix(sl, slices[i - 1]) for i, sl in slices.items() if len(sl) and len(slices.get(i - 1, ()))
     }
     ranks = {i: rank(m) for i, m in maps.items()}
-    return maps, {i: len(sl) - ranks.get(i, 0) - ranks.get(i + 1, 0) for i, sl in slices.items()}
+    return maps, ranks, {i: len(sl) - ranks.get(i, 0) - ranks.get(i + 1, 0) for i, sl in slices.items()}
 
 
-def kernel_basis(m: SparseRationalMatrix):
-    """Basis of the right kernel as a list of {col index: Fraction} dicts.
+def kernel_basis(m: SparseRationalMatrix) -> SparseRationalMatrix:
+    """Basis of the right kernel, as the columns of an m.cols x d matrix.
 
-    Straightforward column-echelon reduction; intended for the moderate
-    slice sizes of the homology comparisons.
+    Column j of ``m``, extended by a unit entry at m.rows + j, is
+    eliminated as a row; the extension records which combination of
+    columns each pivot row is.  A pivot row whose pivot lies in the
+    extension has no entry of ``m`` left, so its extension is a kernel
+    vector.  Pivots are distinct, so these d = m.cols - rank(m) vectors
+    are independent.
     """
-    cols = m.columns()
-    n = m.cols
-    # combos[j] tracks the expression of working column j in original columns
-    combos = [{j: Fraction(1)} for j in range(n)]
-    pivots = {}  # row -> column index holding the pivot
-    out = []
-    for j in range(n):
-        col = cols[j]
-        combo = combos[j]
-        while col:
-            r = min(col)
-            if r not in pivots:
-                break
-            pj = pivots[r]
-            factor = col[r] / cols[pj][r]
-            for rr, vv in cols[pj].items():
-                nv = col.get(rr, Fraction(0)) - factor * vv
-                if nv:
-                    col[rr] = nv
-                else:
-                    col.pop(rr, None)
-            for cc, vv in combos[pj].items():
-                nv = combo.get(cc, Fraction(0)) - factor * vv
-                if nv:
-                    combo[cc] = nv
-                else:
-                    combo.pop(cc, None)
-        if col:
-            pivots[min(col)] = j
-        else:
-            out.append(dict(combo))
-    return out
-
+    cols = [{m.rows + j: Fraction(1)} for j in range(m.cols)]
+    for (r, c), v in m.data.items():
+        cols[c][r] = v
+    kernel = [row for row in _eliminate(cols, *_EXACT) if min(row) >= m.rows]
+    data = {(c - m.rows, j): v for j, row in enumerate(kernel) for c, v in row.items()}
+    return SparseRationalMatrix(m.cols, len(kernel), data)

@@ -577,5 +577,5 @@ def skeleton_homology_dims(b, k, n, family, u_max, force=False):
     when the family is structurally empty there.
     """
     slices = {u: skeleton_degree_slice(b, u, k, n, family, force=force) for u in range(1, u_max + 1)}
-    _, dims = homology(slices, skeleton_differential_matrix)
+    _, _, dims = homology(slices, skeleton_differential_matrix)
     return list(dims.items()), slices

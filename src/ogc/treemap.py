@@ -40,7 +40,7 @@ from .complexes import (
     differential_matrix,
     slice_chain,
 )
-from .linalg import SparseRationalMatrix, homology, kernel_basis, matrix_from_columns, matrix_of, rank
+from .linalg import SparseRationalMatrix, homology, kernel_basis, matrix_of, rank
 from .skeleton import (
     SkeletonDegreeSlice,
     SkeletonFamily,
@@ -321,45 +321,39 @@ def verify_quasi_iso(b: int, k: int, n: int, force=False) -> QuasiIsoReport:
         u: skeleton_degree_slice(b, u, 0, n + 1, SkeletonFamily.SIMPLE, force=force)
         for u in range(1, u_hi + 2)
     }
-    gc_mat, gc_dims = homology(gc, differential_matrix)
-    sk_mat, sk_dims = homology(sk, skeleton_differential_matrix)
+    gc_mat, _, gc_dims = homology(gc, differential_matrix)
+    sk_mat, sk_ranks, sk_dims = homology(sk, skeleton_differential_matrix)
     rows = []
     for u in range(1, u_hi + 1):
         v = u - b - 1
         dim_t = sk_dims[u]
         dim_s = gc_dims.get(v, 0)
-        induced_ok = True
-        if dim_s or dim_t:
-            induced_ok = _induced_iso(gc, gc_mat, sk, sk_mat, v, u, dim_s, dim_t)
+        # the images of the cycles of slice v must span dim_s dimensions
+        # modulo the boundaries into slice u
+        induced_ok = dim_s == dim_t
+        if induced_ok and dim_s:
+            images = induced_matrix(gc[v], sk[u])
+            if v in gc_mat:
+                images = images @ kernel_basis(gc_mat[v])
+            boundaries = sk_mat.get(u + 1, SparseRationalMatrix(len(sk[u]), 0))
+            induced_ok = _rank_mod_boundaries(boundaries, sk_ranks.get(u + 1, 0), images) == dim_s
         rows.append(QuasiIsoRow(v, u, sk[u].degree, dim_s, dim_t, induced_ok))
     return QuasiIsoReport(b, k, n, rows)
 
 
-def _induced_iso(gc, gc_mat, sk, sk_mat, v, u, dim_s, dim_t):
-    if dim_s != dim_t:
-        return False
-    src = gc.get(v)
-    if src is None or not len(src):
-        return dim_t == 0
-    if v in gc_mat:
-        cycles = kernel_basis(gc_mat[v])
-    else:
-        cycles = [{j: Fraction(1)} for j in range(len(src))]
-    images = induced_matrix(src, sk[u]) @ matrix_from_columns(len(src), cycles)
-    return _rank_mod_boundaries(sk, sk_mat, u, images.columns()) == dim_s
-
-
-def _rank_mod_boundaries(sk, sk_mat, u, columns):
-    """Rank of the columns of slice u modulo the boundaries from u + 1."""
-    boundaries = sk_mat[u + 1].columns() if (u + 1) in sk_mat else []
-    base = rank(matrix_from_columns(len(sk[u]), boundaries))
-    return rank(matrix_from_columns(len(sk[u]), boundaries + columns)) - base
+def _rank_mod_boundaries(boundaries, boundary_rank, images):
+    """Rank of the columns of ``images`` modulo those of ``boundaries``, a
+    matrix of known rank: the two column sets side by side, ranked once."""
+    both = SparseRationalMatrix(images.rows, boundaries.cols + images.cols, dict(boundaries.data))
+    both.data.update(((r, boundaries.cols + c), x) for (r, c), x in images.data.items())
+    return rank(both) - boundary_rank
 
 
 def image_homology_class_nonzero(g_slice: BasisSlice, element_index: int, sk_slices, sk_mats, u) -> bool:
     """Whether one basis element's image survives modulo boundaries."""
-    m = induced_matrix(
+    image = induced_matrix(
         BasisSlice(g_slice.params, (g_slice.basis[element_index],), g_slice.degree),
         sk_slices[u],
     )
-    return _rank_mod_boundaries(sk_slices, sk_mats, u, m.columns()[:1]) == 1
+    boundaries = sk_mats.get(u + 1, SparseRationalMatrix(len(sk_slices[u]), 0))
+    return _rank_mod_boundaries(boundaries, rank(boundaries), image) == 1

@@ -256,3 +256,28 @@ def test_fixed_colors_and_constraints_are_a_usage_error(command, flag, capsys, t
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {command} ") and flag[0] in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--command", "verify-dsq", "--vertices-max", "3", "--edges-max", "4", "--constraints", "connected"],
+         ["--loop-order", "1"]),
+        (["--command", "verify-dsq", "--vertices-max", "3", "--edges-max", "4", "--constraints", "connected"],
+         ["--window", "2:2"]),
+        (["--command", "verify-chain", "--vertices-max", "2", "--edges-max", "3"], ["--loop-order", "1"]),
+        (["--command", "verify-chain", "--vertices-max", "2", "--edges-max", "3"], ["--window", "1:2"]),
+        (["--command", "verify-thm1", "--loop-order", "1"], ["--window", "1:2"]),
+        (["--command", "verify-props", "--vertices-max", "2"], ["--loop-order", "1"]),
+        (["--command", "verify-props", "--vertices-max", "2"], ["--window", "1:2"]),
+    ],
+    ids=["dsq-loop-order", "dsq-window", "chain-loop-order", "chain-window", "thm1-window",
+         "props-loop-order", "props-window"],
+)
+def test_ignored_flag_is_a_usage_error(argv, flag, capsys, tmp_path):
+    # each command runs without the flag; with it, it would report a
+    # parameter that never entered its rows
+    code, out, err = run_cli(argv + flag + ["--cache-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {argv[1]} ") and flag[0] in err and err.count("\n") == 1

@@ -13,16 +13,21 @@ from ogc.graphs import (
 from ogc.complexes import (
     REDUCED_CONSTRAINTS,
     SliceParams,
+    differential_matrix,
     enumerate_basis,
+    slice_chain,
 )
+from ogc.linalg import rank
 from ogc.skeleton import (
     SkeletonFamily,
     canonicalize_skeleton,
     is_valid_special,
     make_skeleton,
     skeleton_degree_slice,
+    skeleton_differential_matrix,
 )
 from ogc.treemap import (
+    _rank_mod_boundaries,
     induced_matrix,
     spanning_tree_map,
     spanning_trees,
@@ -286,3 +291,18 @@ class TestQuasiIso:
         by_v = {r.v: r for r in report.rows}
         assert by_v[4].dim_source == 1
         assert by_v[4].dim_target == 1
+
+    def test_images_of_boundaries_are_boundaries(self):
+        # n = 1, b = 2: the image of the boundary of the source slice v = 4
+        # is nonzero in slice u = 6, but it is a boundary there
+        b, n, v, u = 2, 1, 3, 6
+        gc = {sl.params.v: sl for sl in slice_chain(b, 0, n, REDUCED_CONSTRAINTS, v_max=v + 1)}
+        sk = {w: skeleton_degree_slice(b, w, 0, n + 1, SkeletonFamily.SIMPLE) for w in (u, u + 1)}
+        d_src = differential_matrix(gc[v + 1], gc[v])
+        d_sk = skeleton_differential_matrix(sk[u + 1], sk[u])
+        f_lo, f_hi = induced_matrix(gc[v], sk[u]), induced_matrix(gc[v + 1], sk[u + 1])
+        images = f_lo @ d_src
+        # the chain-map identity F_v D_{v+1} = D_{u+1} F_{v+1}, as matrices
+        assert images.data == (d_sk @ f_hi).data
+        assert rank(images) == 1
+        assert _rank_mod_boundaries(d_sk, rank(d_sk), images) == 0
