@@ -42,7 +42,6 @@ from .skeleton import (
     expand_dotted,
     extract_skeleton,
     make_skeleton,
-    project_to_simple,
     skeleton_degree_slice,
     skeleton_differential,
     skeleton_homology_dims,

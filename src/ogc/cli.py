@@ -18,10 +18,10 @@ fixed configuration regardless of the worker count; timing varies.
 Exit code 0 means success, and 1 means a verification failed: a verify-*
 command passes iff every row's value starts with ``pass``.  2 is a usage
 error (a verify command whose bounds leave nothing to check is one, and so
-are a flag the command never reads and a slice over the default bounds
-without --force), and 3 is an internal error: a differential or
-comparison-map term fell outside the enumerated target basis (a basis,
-skeleton or image closure error), reported as one ``internal error:
+are a flag the command never reads, ``FLAG_READERS``, and a slice over the
+default bounds without --force), and 3 is an internal error: a term of
+either differential or of the comparison map fell outside the enumerated
+target basis (``linalg.ClosureError``), reported as one ``internal error:
 ...`` line on stderr.  4 means the command ran out of memory (``error:
 out of memory: ...``); no record is printed.
 """
@@ -40,7 +40,6 @@ from .graphs import Parity
 from .complexes import (
     DEFAULT_BOUNDS as BOUNDS,
     SHAPE_BOUNDS,
-    BasisClosureError,
     Constraint,
     REDUCED_CONSTRAINTS,
     SliceParams,
@@ -49,12 +48,10 @@ from .complexes import (
     homology_dims,
     slice_chain,
 )
-from .skeleton import SkeletonClosureError, SkeletonFamily, skeleton_homology_dims
-from .treemap import ImageClosureError, verify_chain_map, verify_quasi_iso
+from .linalg import ClosureError
+from .skeleton import SkeletonFamily, skeleton_homology_dims
+from .treemap import verify_chain_map, verify_quasi_iso
 from . import cache as result_cache
-
-# closure failures are bugs in the package, not verdicts on the input
-INTERNAL_ERRORS = (BasisClosureError, SkeletonClosureError, ImageClosureError)
 
 # the one row schema: the JSON record's row keys and the CSV header
 Row = namedtuple("Row", "v e b degree value")
@@ -101,14 +98,14 @@ def make_parser():
     p = argparse.ArgumentParser(prog="ogc", description=__doc__.splitlines()[0])
     p.add_argument("--command", required=True, choices=list(COMMANDS))
     p.add_argument("--n", type=int, default=0, help="integer grading parameter")
-    p.add_argument("--colors", type=int, default=0, help="number of colors k")
+    p.add_argument("--colors", type=int, default=None, help="number of colors k (default 0)")
     p.add_argument("--vertices-max", type=int, default=5)
     p.add_argument("--edges-max", type=int, default=8)
     p.add_argument("--loop-order", type=int, default=None, help="fix b = e - v")
     p.add_argument(
         "--constraints",
-        default="reduced",
-        help="comma list of connected,min2,some3,nopass,only2 or the alias 'reduced'",
+        default=None,
+        help="comma list of connected,min2,some3,nopass,only2 or the alias 'reduced' (the default)",
     )
     p.add_argument("--window", default=None, help="vertex range lo:hi")
     p.add_argument("--cache-dir", default=None)
@@ -118,8 +115,14 @@ def make_parser():
     return p
 
 
-# the commands that read each optional flag; any other command refuses it
-FLAG_READERS = {"--loop-order": ("enumerate", "homology", "verify-thm1"), "--window": ("enumerate", "homology")}
+# the commands that read each optional flag; any other command refuses it,
+# so a record never reports a flag that did not enter its rows
+FLAG_READERS = {
+    "--colors": ("enumerate", "homology", "verify-dsq", "verify-props"),
+    "--constraints": ("enumerate", "homology", "verify-dsq"),
+    "--loop-order": ("enumerate", "homology", "verify-thm1"),
+    "--window": ("enumerate", "homology"),
+}
 
 
 def top_slices(args):
@@ -146,11 +149,18 @@ def top_slices(args):
 
 
 def check_args(args):
-    """Usage errors caught before any work: a count out of range, colors
-    or constraints given to a command that fixes them, a flag given to a
-    command that never reads it, bounds over the defaults without --force
-    (the colors, then the top slices the command builds), a malformed
-    --window and a missing loop order."""
+    """Usage errors caught before any work: a flag given to a command that
+    never reads it, a count out of range, bounds over the defaults without
+    --force (the colors, then the top slices the command builds), a
+    malformed --window and a missing loop order."""
+    for flag, readers in FLAG_READERS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.command not in readers:
+            raise UsageError(f"{args.command} does not read {flag}")
+    # the defaults, filled in once no flag is refused
+    if args.colors is None:
+        args.colors = 0
+    if args.constraints is None:
+        args.constraints = "reduced"
     for flag, value, low in (
         ("--colors", args.colors, 0),
         ("--workers", args.workers, 1),
@@ -161,12 +171,6 @@ def check_args(args):
             raise UsageError(f"{flag} must be at least {low}, got {value}")
     if args.command == "verify-thm1" and args.loop_order is not None and args.loop_order < 1:
         raise UsageError(f"verify-thm1 needs --loop-order at least 1, got {args.loop_order}")
-    fixed = args.command in ("verify-chain", "verify-thm1")
-    if fixed and (args.colors or parse_constraints(args.constraints) != REDUCED_CONSTRAINTS):
-        raise UsageError(f"{args.command} checks uncolored reduced graphs; it takes no --colors or --constraints")
-    for flag, readers in FLAG_READERS.items():
-        if getattr(args, flag[2:].replace("-", "_")) is not None and args.command not in readers:
-            raise UsageError(f"{args.command} does not read {flag}")
     if args.colors > BOUNDS["k"] and not args.force:
         raise UsageError(f"--colors {args.colors} exceeds the default bounds {BOUNDS}; pass --force to override")
     if args.window is not None:
@@ -381,7 +385,7 @@ def main(argv=None):
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except INTERNAL_ERRORS as exc:
+    except ClosureError as exc:
         lines = [line.strip() for line in str(exc).splitlines() if line.strip()]
         print(f"internal error: {' | '.join(lines)}", file=sys.stderr)
         return 3

@@ -476,6 +476,7 @@ class EdgeKind(NamedTuple):
 
 
 # vertex swaps are odd for odd parity in both complexes
+VERTICES_ODD = Parity.ODD
 GRAPH_KINDS = (EdgeKind(True, Parity.ODD, Parity.EVEN),)
 # solid arrows are pinned to the last color; dotted ones reverse
 SKELETON_KINDS = (EdgeKind(False, None, Parity.EVEN), EdgeKind(True, Parity.EVEN, Parity.ODD))
@@ -518,7 +519,7 @@ def _normal_form(edges, kinds, parity, perms):
     has the structure's pair data), or all of S_v (the exhaustive
     reference).
     """
-    vertices_odd = parity is Parity.ODD
+    vertices_odd = parity is VERTICES_ODD
     best = best_key = None
     best_sign = 0
     for perm, psign in perms:
@@ -553,6 +554,29 @@ def _normal_form(edges, kinds, parity, perms):
         elif key == best_key and sign != best_sign:
             return None
     return best, best_sign
+
+
+def shift_sign(d, odd, parity):
+    """Sign of moving one label ``d`` places, or of ``d`` arrow reversals:
+    each step is a swap that flips the sign under the parity ``odd``
+    (``VERTICES_ODD``, or an edge kind's ``labels_odd`` or
+    ``reversal_odd``; None: never)."""
+    return -1 if d & 1 and odd is parity else 1
+
+
+def merge_labels(v, x, y):
+    """Relabeling of 0..v-1, as a list of new labels, that maps y onto x
+    and closes the gap at y.  With x == y it only closes the gap, for a
+    vertex that no remaining record touches."""
+    lab = [z - (z > y) for z in range(v)]
+    lab[y] = lab[x]
+    return lab
+
+
+def relabel_records(records, lab, skip=None):
+    """The flat records with both ends relabeled by ``lab``, leaving out
+    the record at index ``skip``."""
+    return tuple((lab[r[0]], lab[r[1]]) + r[2:] for i, r in enumerate(records) if i != skip)
 
 
 def _canonical_form(v, edges, kinds, parity):
@@ -771,6 +795,13 @@ class TermVector:
     def add_vector(self, other, scale=1):
         for key, coeff in other.terms.items():
             self.add(key, Fraction(scale) * coeff)
+
+    def without(self, killed):
+        """This vector without the terms whose key ``killed`` accepts: a
+        quotient projection."""
+        out = TermVector()
+        out.terms = {key: coeff for key, coeff in self.terms.items() if not killed(key)}
+        return out
 
     def mapped(self, fn):
         """The linear extension of ``fn`` (key -> TermVector) applied to

@@ -54,18 +54,23 @@ class SparseRationalMatrix:
         return out
 
 
-def matrix_of(image, src_basis, dst_basis, missing) -> SparseRationalMatrix:
+class ClosureError(RuntimeError):
+    """A term of a map's image fell outside the target basis: a bug in
+    the package, not a verdict on its input."""
+
+
+def matrix_of(image, src_basis, dst_basis, what) -> SparseRationalMatrix:
     """Matrix of a linear map between two bases: column j holds the
     coefficients of ``image(src_basis[j])``, a vector with a ``terms``
     dict, in ``dst_basis``.  A term outside ``dst_basis`` is a closure bug:
-    the exception ``missing(term)`` is raised instead of dropping it."""
+    ``ClosureError("<what>: <term>")`` is raised instead of dropping it."""
     index = {g: i for i, g in enumerate(dst_basis)}
     m = SparseRationalMatrix(len(dst_basis), len(src_basis))
     for j, g in enumerate(src_basis):
         for rep, coeff in image(g).terms.items():
             i = index.get(rep)
             if i is None:
-                raise missing(rep)
+                raise ClosureError(f"{what}: {rep}")
             m.set(i, j, coeff)
     return m
 

@@ -39,6 +39,7 @@ from functools import lru_cache
 
 from .graphs import (
     SKELETON_KINDS,
+    VERTICES_ODD,
     ZERO,
     CanonicalClass,
     ColoredGraph,
@@ -54,9 +55,14 @@ from .graphs import (
     _passing_in_color,
     canonicalize,
     is_weakly_passing,
+    merge_labels,
+    relabel_records,
+    shift_sign,
 )
 from .complexes import SHAPE_BOUNDS
 from .linalg import SparseRationalMatrix, homology, matrix_of
+
+SOLID, DOTTED = SKELETON_KINDS
 
 
 @dataclass(frozen=True)
@@ -181,17 +187,6 @@ def quotient_kills(sg, family, parity):
     return family is SkeletonFamily.MULTI_SUB and has_dotted_tadpole(sg)
 
 
-def project_to_simple(sg: SkeletonGraph, parity: Parity) -> CanonicalClass:
-    """Quotient by tadpole-bearing and multiple-edge-bearing graphs.
-
-    The quotient only exists for odd m; for even m the projection is the
-    identity and this just canonicalizes.
-    """
-    if quotient_kills(sg, SkeletonFamily.SIMPLE, parity):
-        return ZERO
-    return canonicalize_skeleton(sg, parity)
-
-
 # ---------------------------------------------------------------------------
 # the differential
 
@@ -238,32 +233,19 @@ def contract_solid(sg: SkeletonGraph, j: int, parity: Parity) -> TermVector:
     rec = sg.solid[j]
     x, y = rec[0], rec[1]
     out = TermVector()
-    sign = 1
-    if parity is Parity.ODD:
-        if (sg.v + D - 1 - y) & 1:
-            sign = -sign
-    else:
-        if (S - 1 - j) & 1:
-            sign = -sign
-    merged = x if x < y else x - 1
-
-    def relabel(z):
-        if z == y:
-            return merged
-        return z if z < y else z - 1
-
-    new_solid = [
-        (relabel(r[0]), relabel(r[1])) + r[2:] for i, r in enumerate(sg.solid) if i != j
-    ]
-    new_dotted = [(relabel(r[0]), relabel(r[1])) + r[2:] for r in sg.dotted]
+    sign = shift_sign(sg.v + D - 1 - y, VERTICES_ODD, parity) * shift_sign(S - 1 - j, SOLID.labels_odd, parity)
+    lab = merge_labels(sg.v, x, y)
+    new_solid = relabel_records(sg.solid, lab, j)
+    new_dotted = relabel_records(sg.dotted, lab)
     v_new = sg.v - 1
-    candidate = SkeletonGraph(v_new, sg.k, tuple(new_solid), tuple(new_dotted))
+    candidate = SkeletonGraph(v_new, sg.k, new_solid, new_dotted)
     for c in range(1, sg.k + 1):
         if not _color_acyclic(v_new, candidate.solid + candidate.dotted, c):
             return out
     if not _sk_last_color_acyclic(candidate):
         return out
-    case = _merged_vertex_cases(sg.k, new_solid, new_dotted, merged)
+    p = lab[y]
+    case = _merged_vertex_cases(sg.k, new_solid, new_dotted, p)
     if case == "drop":
         return out
     if case == "keep":
@@ -271,7 +253,6 @@ def contract_solid(sg: SkeletonGraph, j: int, parity: Parity) -> TermVector:
         return out
     _, i1, i2, into = case
     # length-2 string through p: replace the two solids by one dotted edge
-    p = merged
     r1, r2 = new_solid[i1], new_solid[i2]
     u = r1[0] if r1[1] == p else r1[1]
     w = r2[0] if r2[1] == p else r2[1]
@@ -281,24 +262,14 @@ def contract_solid(sg: SkeletonGraph, j: int, parity: Parity) -> TermVector:
     else:
         row = tuple(-s for s in r1[2:])
         cfg_sign = -1
-    if parity is Parity.ODD:
-        if ((v_new + D - 1) - p) & 1:
-            sign = -sign
-    else:
-        if (i1 + i2 + 1) & 1:
-            sign = -sign
-    sign *= cfg_sign
-
-    def relabel2(z):
-        return z if z < p else z - 1
-
-    rest_solid = tuple(
-        (relabel2(r[0]), relabel2(r[1])) + r[2:]
-        for i, r in enumerate(new_solid)
-        if i not in (i1, i2)
-    )
-    rest_dotted = tuple((relabel2(r[0]), relabel2(r[1])) + r[2:] for r in new_dotted)
-    new_rec = (relabel2(u), relabel2(w)) + row
+    # p becomes the new middle vertex and the solids i1 < i2 its string
+    # edges, each moved to the last labels
+    sign *= cfg_sign * shift_sign(v_new + D - 1 - p, VERTICES_ODD, parity)
+    sign *= shift_sign(i1 + i2 + 1, SOLID.labels_odd, parity)
+    closed = merge_labels(v_new, p, p)
+    rest_solid = relabel_records(new_solid[:i2] + new_solid[i2 + 1 :], closed, i1)
+    rest_dotted = relabel_records(new_dotted, closed)
+    new_rec = (closed[u], closed[w]) + row
     rewritten = SkeletonGraph(v_new - 1, sg.k, rest_solid, rest_dotted + (new_rec,))
     out.add_class(canonicalize_skeleton(rewritten, parity), sign)
     return out
@@ -311,9 +282,7 @@ def dotted_differential(sg: SkeletonGraph, parity: Parity) -> TermVector:
     D = sg.n_dotted
     for j, rec in enumerate(sg.dotted):
         x, y, cs = rec[0], rec[1], rec[2:]
-        pre = 1
-        if parity is Parity.ODD and (D - 1 - j) & 1:
-            pre = -pre
+        pre = shift_sign(D - 1 - j, DOTTED.labels_odd, parity)
         rest = tuple(r for i, r in enumerate(sg.dotted) if i != j)
         for direction, coeff in (
             ((x, y) + cs, pre),
@@ -542,17 +511,9 @@ def skeleton_degree_slice(b, u, k, n, family, force=False) -> SkeletonDegreeSlic
     return SkeletonDegreeSlice(b, u, k, n, family, tuple(basis))
 
 
-class SkeletonClosureError(RuntimeError):
-    pass
-
-
 def projected_skeleton_differential(sg, parity, family) -> TermVector:
     """The differential composed with the family's quotient projection."""
-    out = TermVector()
-    for rep, coeff in skeleton_differential(sg, parity).terms.items():
-        if not quotient_kills(rep, family, parity):
-            out.add(rep, coeff)
-    return out
+    return skeleton_differential(sg, parity).without(lambda rep: quotient_kills(rep, family, parity))
 
 
 def skeleton_differential_matrix(src: SkeletonDegreeSlice, dst: SkeletonDegreeSlice) -> SparseRationalMatrix:
@@ -563,9 +524,7 @@ def skeleton_differential_matrix(src: SkeletonDegreeSlice, dst: SkeletonDegreeSl
         lambda sg: projected_skeleton_differential(sg, parity, src.family),
         src.basis,
         dst.basis,
-        lambda rep: SkeletonClosureError(
-            f"differential term left the {src.family.value} family (u={src.u} -> {dst.u}): {rep}"
-        ),
+        f"differential term left the {src.family.value} family (u={src.u} -> {dst.u})",
     )
 
 

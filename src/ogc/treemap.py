@@ -28,9 +28,13 @@ from .graphs import (
     ColoredGraph,
     Parity,
     TermVector,
+    GRAPH_KINDS,
+    VERTICES_ODD,
     _pairs_connected,
     is_connected,
     perm_parity,
+    relabel_records,
+    shift_sign,
     valence,
 )
 from .complexes import (
@@ -47,7 +51,6 @@ from .skeleton import (
     SkeletonGraph,
     canonicalize_skeleton,
     expand_dotted,
-    project_to_simple,
     quotient_kills,
     skeleton_degree_slice,
     skeleton_differential,
@@ -120,10 +123,8 @@ def tree_image(g: ColoredGraph, x: int, tree, n_parity: Parity) -> TreeImage:
         raise ValueError(f"root {x} out of range")
     # source-side relabeling putting the root at 0 (cyclic shift)
     shift = {y: (0 if y == x else y + 1 if y < x else y) for y in range(v)}
-    sign = 1
-    if n_parity is Parity.ODD and x & 1:
-        sign = -sign
-    records = tuple((shift[r[0]], shift[r[1]]) + r[2:] for r in g.records)
+    sign = shift_sign(x, VERTICES_ODD, n_parity)
+    records = relabel_records(g.records, shift)
     # root the tree: parent[child] = (edge index, away_from_root_is_intrinsic)
     adj = {y: [] for y in range(v)}
     tree_set = set(tree)
@@ -158,15 +159,12 @@ def tree_image(g: ColoredGraph, x: int, tree, n_parity: Parity) -> TreeImage:
         else:
             cs = tuple(-s for s in rec[2:])
             reversals += 1
-        solid_raw.append((child, par, cs))
-    if n_parity is Parity.ODD and reversals & 1:
-        sign = -sign
+        solid_raw.append((par, child) + cs)
+    sign *= shift_sign(reversals, GRAPH_KINDS[0].reversal_odd, n_parity)
     non_tree = [i for i in range(e) if i not in tree_set]
     skeleton_names = sorted(name[y] for y in range(v))
-    my_index = {}
     rank_of = {nm: i for i, nm in enumerate(skeleton_names)}
-    for y in range(v):
-        my_index[y] = rank_of[name[y]]
+    my_index = {y: rank_of[name[y]] for y in range(v)}
     # the name-order interleaves skeleton and middle labels; bringing it
     # to the skeleton-then-middles layout costs a sign in the image
     # parity where vertices are odd
@@ -176,14 +174,10 @@ def tree_image(g: ColoredGraph, x: int, tree, n_parity: Parity) -> TreeImage:
     rho = [position[nm] for nm in range(e + 1)]
     if m_parity is Parity.ODD and perm_parity(rho) < 0:
         sign = -sign
-    solid_records = []
-    for child, par, cs in sorted(solid_raw, key=lambda s: s[0]):
-        solid_records.append((my_index[par], my_index[child]) + cs)
-    dotted_records = []
-    for i in non_tree:
-        rec = records[i]
-        dotted_records.append((my_index[rec[0]], my_index[rec[1]]) + rec[2:])
-    sk = SkeletonGraph(v, k, tuple(solid_records), tuple(dotted_records))
+    # solid records in the order of their heads' source labels
+    solid_records = relabel_records(sorted(solid_raw, key=lambda r: r[1]), my_index)
+    dotted_records = relabel_records([records[i] for i in non_tree], my_index)
+    sk = SkeletonGraph(v, k, solid_records, dotted_records)
     cls = canonicalize_skeleton(sk, m_parity)
     if not cls.is_zero:
         cls = CanonicalClass(cls.rep, cls.sign * sign)
@@ -195,7 +189,8 @@ def spanning_tree_map(g: ColoredGraph, n_parity: Parity, project=True) -> TermVe
 
     With ``project`` the result passes through the tadpole/multi-edge
     quotient of the image parity; image graphs of multiplicity-free
-    sources never hit it.
+    sources never hit it.  The terms are canonical already, so the
+    quotient only drops the ones it kills.
     """
     m_parity = n_parity.flipped
     out = TermVector()
@@ -211,11 +206,7 @@ def spanning_tree_map(g: ColoredGraph, n_parity: Parity, project=True) -> TermVe
             out.add(term.image.rep, Fraction(weight) * term.image.sign)
     if not project:
         return out
-    projected = TermVector()
-    for rep, coeff in out.terms.items():
-        cls = project_to_simple(rep, m_parity)
-        projected.add_class(cls, coeff)
-    return projected
+    return out.without(lambda rep: quotient_kills(rep, SkeletonFamily.SIMPLE, m_parity))
 
 
 @dataclass
@@ -263,10 +254,6 @@ def verify_chain_map(g: ColoredGraph, n_parity: Parity, expanded=True) -> ChainM
     )
 
 
-class ImageClosureError(RuntimeError):
-    pass
-
-
 def induced_matrix(src: BasisSlice, dst: SkeletonDegreeSlice) -> SparseRationalMatrix:
     """Coordinates of the map on one source slice: column j is the image
     of basis element j in the degree slice one loop order up."""
@@ -275,7 +262,7 @@ def induced_matrix(src: BasisSlice, dst: SkeletonDegreeSlice) -> SparseRationalM
         lambda g: spanning_tree_map(g, n_parity, project=True),
         src.basis,
         dst.basis,
-        lambda rep: ImageClosureError(f"image term missing from target slice u={dst.u}: {rep}"),
+        f"image term missing from target slice u={dst.u}",
     )
 
 

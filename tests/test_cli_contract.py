@@ -9,10 +9,9 @@ import pytest
 
 from ogc import cache as result_cache
 from ogc import cli
-from ogc.complexes import BasisClosureError
-from ogc.linalg import SparseRationalMatrix
-from ogc.skeleton import SkeletonClosureError, skeleton_homology_dims
-from ogc.treemap import ImageClosureError, verify_quasi_iso
+from ogc.linalg import ClosureError, SparseRationalMatrix
+from ogc.skeleton import skeleton_homology_dims
+from ogc.treemap import verify_quasi_iso
 
 HOMOLOGY = ["--command", "homology", "--n", "1", "--loop-order", "1", "--vertices-max", "2"]
 
@@ -77,18 +76,18 @@ def test_code_hash_only_on_the_cached_path(capsys, tmp_path, monkeypatch):
     "error, target, argv",
     [
         (
-            BasisClosureError("differential term missing from the target slice:\nv 2 k 0\n1: 0 1"),
+            ClosureError("differential term missing from the target slice:\nv 2 k 0\n1: 0 1"),
             "differential_matrix",
             ["--command", "verify-dsq", "--vertices-max", "3", "--edges-max", "3",
              "--constraints", "connected"],
         ),
         (
-            SkeletonClosureError("differential term left the tadpole_sub family (u=3 -> 2)"),
+            ClosureError("differential term left the tadpole_sub family (u=3 -> 2)"),
             "skeleton_homology_dims",
             ["--command", "verify-props", "--vertices-max", "2"],
         ),
         (
-            ImageClosureError("image term missing from target slice u=4"),
+            ClosureError("image term missing from target slice u=4"),
             "verify_quasi_iso",
             ["--command", "verify-thm1", "--loop-order", "1"],
         ),
@@ -270,9 +269,10 @@ def test_fixed_colors_and_constraints_are_a_usage_error(command, flag, capsys, t
         (["--command", "verify-thm1", "--loop-order", "1"], ["--window", "1:2"]),
         (["--command", "verify-props", "--vertices-max", "2"], ["--loop-order", "1"]),
         (["--command", "verify-props", "--vertices-max", "2"], ["--window", "1:2"]),
+        (["--command", "verify-props", "--vertices-max", "2"], ["--constraints", "connected"]),
     ],
     ids=["dsq-loop-order", "dsq-window", "chain-loop-order", "chain-window", "thm1-window",
-         "props-loop-order", "props-window"],
+         "props-loop-order", "props-window", "props-constraints"],
 )
 def test_ignored_flag_is_a_usage_error(argv, flag, capsys, tmp_path):
     # each command runs without the flag; with it, it would report a

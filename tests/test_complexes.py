@@ -6,7 +6,6 @@ import pytest
 
 from ogc.graphs import ColoredGraph, Parity, canonicalize, is_connected, make_graph
 from ogc.complexes import (
-    BasisClosureError,
     Constraint,
     REDUCED_CONSTRAINTS,
     SliceParams,
@@ -18,7 +17,7 @@ from ogc.complexes import (
     homology_dims,
     slice_chain,
 )
-from ogc.linalg import rank
+from ogc.linalg import ClosureError, rank
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 CONNECTED = frozenset({Constraint.CONNECTED})
@@ -234,14 +233,14 @@ class TestMatrices:
                     assert (m2 @ m1).is_zero()
 
     def test_closure_violation_raises(self):
-        # a slice artificially missing a target element must fail loudly
-        src = enumerate_basis(params(3, 3, 0, 1))
-        dst_full = enumerate_basis(params(2, 2, 0, 1))
+        # a slice artificially missing a target element must fail loudly;
+        # the source slice needs a nonzero differential for the check to bite
+        src = enumerate_basis(params(4, 4, 0, 1))
+        dst_full = enumerate_basis(params(3, 3, 0, 1))
         broken = type(dst_full)(dst_full.params, tuple(), dst_full.degree)
-        column_sources = [g for g in src.basis if not differential(g, ODD).is_zero()]
-        if column_sources:
-            with pytest.raises(BasisClosureError):
-                differential_matrix(src, broken)
+        assert any(not differential(g, ODD).is_zero() for g in src.basis)
+        with pytest.raises(ClosureError, match="differential term missing from the target slice: "):
+            differential_matrix(src, broken)
 
 
 class TestRankCrossCheck:

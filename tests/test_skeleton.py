@@ -19,7 +19,7 @@ from ogc.skeleton import (
     has_multiple_edge,
     is_valid_special,
     make_skeleton,
-    project_to_simple,
+    quotient_kills,
     skeleton_degree_slice,
     skeleton_differential,
     skeleton_differential_matrix,
@@ -108,24 +108,26 @@ class TestValidity:
 
 
 class TestQuotient:
+    SIMPLE = SkeletonFamily.SIMPLE
+
     def test_tadpole_killed_odd(self):
         tadpole = make_skeleton(2, [(0, 1), (1, 0)], [(0, 0)], k=0)
-        assert project_to_simple(tadpole, ODD).is_zero
+        assert quotient_kills(tadpole, self.SIMPLE, ODD)
 
     def test_multi_killed_odd(self):
-        assert project_to_simple(SOLID_PLUS_TWO_DOTTED, ODD).is_zero
+        assert quotient_kills(SOLID_PLUS_TWO_DOTTED, self.SIMPLE, ODD)
 
     def test_simple_survives(self):
         # a simple 4-vertex graph: solid tree plus dotted chords
         sg = make_skeleton(
             4, [(0, 1), (0, 2), (0, 3)], [(1, 2), (1, 3), (2, 3)], k=0
         )
-        cls = project_to_simple(sg, ODD)
-        assert not cls.is_zero
+        assert not quotient_kills(sg, self.SIMPLE, ODD)
+        assert not canonicalize_skeleton(sg, ODD).is_zero
 
     def test_even_projection_is_identity(self):
-        cls = project_to_simple(SOLID_PLUS_TWO_DOTTED, EVEN)
-        assert not cls.is_zero
+        assert not quotient_kills(SOLID_PLUS_TWO_DOTTED, self.SIMPLE, EVEN)
+        assert not canonicalize_skeleton(SOLID_PLUS_TWO_DOTTED, EVEN).is_zero
 
 
 class TestExpand:
@@ -310,7 +312,9 @@ class TestExpansionCompatibility:
 class TestSkeletonDsquared:
     @pytest.mark.parametrize(
         "k,n,b,u_max",
-        [(0, 0, 1, 5), (0, 1, 1, 5), (0, 0, 2, 8), (0, 1, 2, 8), (1, 0, 1, 4), (1, 1, 1, 4)],
+        # (1, 0, 1, 6): the even-parity string rewrite of contract_solid
+        # first meets a d^2 product at u = 6
+        [(0, 0, 1, 5), (0, 1, 1, 5), (0, 0, 2, 8), (0, 1, 2, 8), (1, 0, 1, 4), (1, 1, 1, 4), (1, 0, 1, 6)],
     )
     def test_dsquared_zero(self, k, n, b, u_max):
         slices = {
