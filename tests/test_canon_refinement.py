@@ -17,6 +17,7 @@ from ogc.graphs import (
     SKELETON_KINDS,
     GroupElement,
     Parity,
+    _canonical_form,
     _cell_perms,
     _edge_ends,
     _normal_form,
@@ -318,3 +319,52 @@ def test_cell_perms_respect_blocks_and_signs():
         assert sign == perm_parity(perm)
         assert {perm[3], perm[0]} == {0, 1} and perm[4] == 2
         assert {perm[1], perm[2], perm[5]} == {3, 4, 5}
+
+
+def engine_inputs():
+    """(v, edges, kinds) of every graph and skeleton case, as
+    canonicalize and canonicalize_skeleton hand them to the engine."""
+    graphs = [(g.v, (g.records,), GRAPH_KINDS) for g, _ in graph_cases()]
+    skeletons = [(sg.v, (sg.solid, sg.dotted), SKELETON_KINDS) for sg, _ in skeleton_cases()]
+    return list(dict.fromkeys(graphs + skeletons))
+
+
+def test_memo_agrees_with_unmemoized_engine():
+    """The memo is keyed on the parity and the kinds too: the same edges
+    under the other parity, or read as the other kind, are another class."""
+    assert _canonical_form.cache_info().maxsize is not None
+    inputs = engine_inputs()
+    for v, edges, kinds in inputs:
+        for parity in (EVEN, ODD):
+            _canonical_form(v, edges, kinds, parity)
+    hits = _canonical_form.cache_info().hits
+    for v, edges, kinds in inputs:
+        for parity in (EVEN, ODD):
+            expected = _canonical_form.__wrapped__(v, edges, kinds, parity)
+            assert _canonical_form(v, edges, kinds, parity) == expected
+            assert _canonical_form(v, edges, kinds, parity) == expected
+    assert _canonical_form.cache_info().hits >= hits + 2 * len(inputs)
+
+
+def fixpoint_cells(v, nbrs):
+    """Reference refinement: rounds until the class count stops growing,
+    with no early exit for a discrete partition."""
+    classes = [0] * v
+    while True:
+        sigs = [(classes[x], tuple(sorted((classes[y], tag, d) for y, tag, d in nbrs[x]))) for x in range(v)]
+        order = sorted(set(sigs))
+        new = [order.index(s) for s in sigs]
+        if len(order) == len(set(classes)):
+            return [[x for x in range(v) if new[x] == c] for c in range(len(order))]
+        classes = new
+
+
+def test_refine_matches_fixpoint_refinement():
+    discrete = coarse = 0
+    for v, edges, kinds in engine_inputs():
+        nbrs = _edge_ends(v, edges, kinds)
+        cells = _refine(v, nbrs)
+        assert cells == fixpoint_cells(v, nbrs)
+        discrete += len(cells) == v
+        coarse += len(cells) < v
+    assert discrete and coarse

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from ogc.graphs import (
     ColoredGraph,
     GroupElement,
     Parity,
+    TermVector,
+    _acyclic_support_signs,
     act,
     canonicalize,
     from_text,
@@ -255,3 +258,39 @@ def test_text_roundtrip():
     text = to_text(g)
     assert "1: 0 1 + -" in text
     assert from_text(text) == g
+
+
+def sweep_support_signs(v, support):
+    """Reference: the sign vectors that the v! linear vertex orders induce
+    on the pairs; every acyclic orientation comes from such an order."""
+    out = set()
+    for order in itertools.permutations(range(v)):
+        pos = {x: i for i, x in enumerate(order)}
+        out.add(tuple(1 if pos[t] < pos[h] else -1 for t, h in support))
+    return tuple(sorted(out))
+
+
+def test_acyclic_support_signs_match_order_sweep():
+    supports = [
+        (v, support)
+        for v in range(6)
+        for r in range(v * (v - 1) // 2 + 1)
+        for support in itertools.combinations(itertools.combinations(range(v), 2), r)
+    ]
+    rng = random.Random(77)
+    for v in (6, 7):
+        pairs = list(itertools.combinations(range(v), 2))
+        for _ in range(25):
+            supports.append((v, tuple(sorted(rng.sample(pairs, rng.randint(v - 1, 2 * v))))))
+    for v, support in supports:
+        assert _acyclic_support_signs(v, support) == sweep_support_signs(v, support), (v, support)
+
+
+def test_term_vector_stores_fractions():
+    vec = TermVector()
+    vec.add_class(CanonicalClass(SINGLE_EDGE, -1), 3)
+    half = TermVector()
+    half.add(TRIANGLE, 1)
+    vec.add_vector(half, Fraction(1, 2))
+    assert vec.terms == {SINGLE_EDGE: -3, TRIANGLE: Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in vec.terms.values())
