@@ -12,13 +12,11 @@ from .graphs import (
     ZERO,
     act,
     canonicalize,
-    from_text,
     is_acyclic_in_color,
     is_connected,
     is_passing,
     is_weakly_passing,
     make_graph,
-    to_text,
     valence,
 )
 from .complexes import (

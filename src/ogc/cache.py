@@ -75,6 +75,8 @@ def store(cache_dir: Path, key: str, code_version: str, record: dict):
         "record": record,
     }
     path = cache_dir / f"{key}.json"
-    tmp = path.with_suffix(".tmp")
+    # a temp name of this writer's own, so concurrent writers of one key
+    # never move each other's file; the last replace wins whole
+    tmp = cache_dir / f"{key}.{os.getpid()}.tmp"
     tmp.write_text(canonical_json(body))
     tmp.replace(path)

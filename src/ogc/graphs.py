@@ -776,35 +776,6 @@ def has_passing_vertex(g: ColoredGraph) -> bool:
     return any(d == 2 and is_passing(g, x) for x, d in enumerate(_pair_degrees(g.v, g.edges)))
 
 
-def to_text(g: ColoredGraph) -> str:
-    """Debug serialization: header line, then one edge per line
-    ``a: t h s_1...s_k`` with signs written + or -."""
-    lines = [f"v {g.v} k {g.k}"]
-    for i, rec in enumerate(g.records):
-        signs = " ".join("+" if s > 0 else "-" for s in rec[2:])
-        line = f"{i + 1}: {rec[0]} {rec[1]}"
-        if signs:
-            line += " " + signs
-        lines.append(line)
-    return "\n".join(lines)
-
-
-def from_text(text: str) -> ColoredGraph:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    v, k = int(head[1]), int(head[3])
-    records = []
-    for ln in lines[1:]:
-        label, rest = ln.split(":")
-        parts = rest.split()
-        t, h = int(parts[0]), int(parts[1])
-        signs = tuple(1 if s == "+" else -1 for s in parts[2:])
-        if len(signs) != k:
-            raise ValueError(f"edge {label} carries {len(signs)} signs, expected {k}")
-        records.append((t, h) + signs)
-    return ColoredGraph(v, k, tuple(records))
-
-
 class TermVector:
     """Finite formal linear combination with exact rational coefficients.
 

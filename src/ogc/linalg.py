@@ -1,4 +1,5 @@
-"""Exact sparse rational matrices: rank, kernels, products.
+"""Exact sparse rational matrices: rank, homology, induced ranks, kernels,
+products.
 
 All arithmetic is over ``fractions.Fraction``; no floating point enters
 any rank or homology computation.  One elimination loop, ``_eliminate``,
@@ -144,6 +145,24 @@ def homology(slices, matrix):
     }
     ranks = {i: rank(m) for i, m in maps.items()}
     return maps, ranks, {i: len(sl) - ranks.get(i, 0) - ranks.get(i + 1, 0) for i, sl in slices.items()}
+
+
+def induced_rank(d_a, f, d_b, rank_a, rank_b) -> int:
+    """Rank of the map that ``f`` induces from the kernel of ``d_a`` to the
+    cokernel of ``d_b``, given the ranks of ``d_a`` and ``d_b``.
+
+    With d_a: A_v -> A_{v-1}, f: A_v -> B_u and d_b: B_{u+1} -> B_u (an
+    absent side is an empty matrix, 0 x |A_v| or |B_u| x 0), the block
+    matrix [[d_a, 0], [f, d_b]] has rank rank d_a + rank d_b + this rank
+    (the mapping cone; Weibel 1994, section 1.5), so it is ranked once.
+    The identity needs no chain-map condition.
+    """
+    if d_a.cols != f.cols or d_b.rows != f.rows:
+        raise ValueError(f"blocks {d_a.rows}x{d_a.cols}, {f.rows}x{f.cols}, {d_b.rows}x{d_b.cols} do not fit")
+    cone = SparseRationalMatrix(d_a.rows + f.rows, f.cols + d_b.cols, dict(d_a.data))
+    cone.data.update(((d_a.rows + r, c), x) for (r, c), x in f.data.items())
+    cone.data.update(((d_a.rows + r, f.cols + c), x) for (r, c), x in d_b.data.items())
+    return rank(cone) - rank_a - rank_b
 
 
 def kernel_basis(m: SparseRationalMatrix) -> SparseRationalMatrix:

@@ -44,7 +44,7 @@ from .complexes import (
     differential_matrix,
     slice_chain,
 )
-from .linalg import SparseRationalMatrix, homology, kernel_basis, matrix_of, rank
+from .linalg import SparseRationalMatrix, homology, induced_rank, matrix_of, rank
 from .skeleton import (
     SkeletonDegreeSlice,
     SkeletonFamily,
@@ -308,7 +308,7 @@ def verify_quasi_iso(b: int, k: int, n: int, force=False) -> QuasiIsoReport:
         u: skeleton_degree_slice(b, u, 0, n + 1, SkeletonFamily.SIMPLE, force=force)
         for u in range(1, u_hi + 2)
     }
-    gc_mat, _, gc_dims = homology(gc, differential_matrix)
+    gc_mat, gc_ranks, gc_dims = homology(gc, differential_matrix)
     sk_mat, sk_ranks, sk_dims = homology(sk, skeleton_differential_matrix)
     rows = []
     for u in range(1, u_hi + 1):
@@ -320,20 +320,11 @@ def verify_quasi_iso(b: int, k: int, n: int, force=False) -> QuasiIsoReport:
         induced_ok = dim_s == dim_t
         if induced_ok and dim_s:
             images = induced_matrix(gc[v], sk[u])
-            if v in gc_mat:
-                images = images @ kernel_basis(gc_mat[v])
-            boundaries = sk_mat.get(u + 1, SparseRationalMatrix(len(sk[u]), 0))
-            induced_ok = _rank_mod_boundaries(boundaries, sk_ranks.get(u + 1, 0), images) == dim_s
+            d_src = gc_mat.get(v, SparseRationalMatrix(0, images.cols))
+            d_sk = sk_mat.get(u + 1, SparseRationalMatrix(images.rows, 0))
+            induced_ok = induced_rank(d_src, images, d_sk, gc_ranks.get(v, 0), sk_ranks.get(u + 1, 0)) == dim_s
         rows.append(QuasiIsoRow(v, u, sk[u].degree, dim_s, dim_t, induced_ok))
     return QuasiIsoReport(b, k, n, rows)
-
-
-def _rank_mod_boundaries(boundaries, boundary_rank, images):
-    """Rank of the columns of ``images`` modulo those of ``boundaries``, a
-    matrix of known rank: the two column sets side by side, ranked once."""
-    both = SparseRationalMatrix(images.rows, boundaries.cols + images.cols, dict(boundaries.data))
-    both.data.update(((r, boundaries.cols + c), x) for (r, c), x in images.data.items())
-    return rank(both) - boundary_rank
 
 
 def image_homology_class_nonzero(g_slice: BasisSlice, element_index: int, sk_slices, sk_mats, u) -> bool:
@@ -343,4 +334,4 @@ def image_homology_class_nonzero(g_slice: BasisSlice, element_index: int, sk_sli
         sk_slices[u],
     )
     boundaries = sk_mats.get(u + 1, SparseRationalMatrix(len(sk_slices[u]), 0))
-    return _rank_mod_boundaries(boundaries, rank(boundaries), image) == 1
+    return induced_rank(SparseRationalMatrix(0, 1), image, boundaries, 0, rank(boundaries)) == 1

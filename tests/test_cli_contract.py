@@ -2,7 +2,11 @@
 verdict exits 1, and usage and internal errors have their own exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -228,6 +232,40 @@ def test_out_of_memory_exits_4(capsys, tmp_path, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+# one writer of a shared cache: it waits until the other writer is up,
+# then stores the same key over and over
+STORE_SAME_KEY = """
+import sys, time
+from pathlib import Path
+from ogc import cache
+cache_dir, ready, me, other = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3], sys.argv[4]
+(ready / me).touch()
+deadline = time.monotonic() + 30
+while not (ready / other).exists() and time.monotonic() < deadline:
+    time.sleep(0.001)
+for i in range(200):
+    cache.store(cache_dir, "c" * 64, "v", {"writer": me, "i": i})
+"""
+
+
+def test_concurrent_writers_of_one_key_share_a_cache(tmp_path):
+    cache_dir, ready = tmp_path / "cache", tmp_path / "ready"
+    ready.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(result_cache.__file__).parents[1]))
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", STORE_SAME_KEY, str(cache_dir), str(ready), me, other],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for me, other in (("a", "b"), ("b", "a"))
+    ]
+    for proc in writers:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    assert result_cache.load(cache_dir, "c" * 64, "v")["i"] == 199
+    assert list(cache_dir.iterdir()) == [cache_dir / f"{'c' * 64}.json"]
 
 
 @pytest.mark.parametrize(

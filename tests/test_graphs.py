@@ -16,14 +16,12 @@ from ogc.graphs import (
     _acyclic_support_signs,
     act,
     canonicalize,
-    from_text,
     is_acyclic_in_color,
     is_connected,
     is_passing,
     is_weakly_passing,
     make_graph,
     perm_parity,
-    to_text,
     valence,
 )
 
@@ -251,13 +249,6 @@ def test_perm_parity():
     assert perm_parity((0, 1, 2)) == 1
     assert perm_parity((1, 0, 2)) == -1
     assert perm_parity((1, 2, 0)) == 1
-
-
-def test_text_roundtrip():
-    g = graph(3, [(0, 1), (2, 1)], [(1, -1), (-1, -1)])
-    text = to_text(g)
-    assert "1: 0 1 + -" in text
-    assert from_text(text) == g
 
 
 def sweep_support_signs(v, support):

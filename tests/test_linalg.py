@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ogc.linalg import (
     SparseRationalMatrix,
+    induced_rank,
     kernel_basis,
     rank,
     rank_mod_p,
@@ -91,3 +94,23 @@ def test_matmul():
     p = a @ b
     assert p.get(0, 0) == 7 and p.get(0, 1) == 2
     assert p.get(1, 0) == 3 and p.get(1, 1) == 1
+
+
+@pytest.mark.parametrize(
+    "d_a, f, d_b, expected",
+    [
+        # the one element is no cycle, so it has no class to map
+        (to_sparse([[1]]), to_sparse([[0]]), SparseRationalMatrix(1, 0), 0),
+        # f lands in the image of d_b, a map of larger rank than f
+        (SparseRationalMatrix(0, 1), to_sparse([[1], [0]]), to_sparse([[1, 0], [0, 1]]), 0),
+        # a cycle mapped onto a nonzero class
+        (SparseRationalMatrix(0, 1), to_sparse([[1]]), SparseRationalMatrix(1, 0), 1),
+    ],
+)
+def test_induced_rank_hand_built(d_a, f, d_b, expected):
+    assert induced_rank(d_a, f, d_b, rank(d_a), rank(d_b)) == expected
+
+
+def test_induced_rank_rejects_blocks_that_do_not_fit():
+    with pytest.raises(ValueError):
+        induced_rank(SparseRationalMatrix(0, 2), to_sparse([[1]]), SparseRationalMatrix(1, 0), 0, 0)
