@@ -15,6 +15,12 @@ RUNS = [
     ("d^2 = 0 (connected, odd)", ["--command", "verify-dsq", "--n", "1", "--colors", "1",
                                   "--vertices-max", "5", "--edges-max", "8",
                                   "--constraints", "connected"]),
+    ("d^2 = 0 (connected, two colors, even)", ["--command", "verify-dsq", "--n", "0", "--colors", "2",
+                                              "--vertices-max", "4", "--edges-max", "6",
+                                              "--constraints", "connected"]),
+    ("d^2 = 0 (connected, two colors, odd)", ["--command", "verify-dsq", "--n", "1", "--colors", "2",
+                                             "--vertices-max", "4", "--edges-max", "6",
+                                             "--constraints", "connected"]),
     ("d^2 = 0 (reduced, even)", ["--command", "verify-dsq", "--n", "0", "--colors", "1",
                                  "--vertices-max", "5", "--edges-max", "8"]),
     ("d^2 = 0 (reduced, odd)", ["--command", "verify-dsq", "--n", "1", "--colors", "1",
@@ -35,7 +41,7 @@ def main():
             [sys.executable, "-m", "ogc.cli"] + argv, capture_output=True, text=True
         )
         verdict = "PASS" if proc.returncode == 0 else f"FAIL (exit {proc.returncode})"
-        print(f"{label:<35} {verdict}")
+        print(f"{label:<40} {verdict}")
         if proc.returncode != 0:
             failures += 1
             sys.stderr.write(proc.stdout + proc.stderr)

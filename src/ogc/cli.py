@@ -329,12 +329,20 @@ COMMANDS = {
 }
 
 
-# the flags a record reports; the homology cache keys on them
+# the flags a record reports
 PARAMS = ("n", "colors", "vertices_max", "edges_max", "loop_order", "constraints", "window")
 
 
 def params_dict(args):
     return {name: getattr(args, name) for name in PARAMS}
+
+
+def homology_key_params(args):
+    """The flags that enter homology's rows, and so its cache key: the
+    vertex range comes from --window if given, else from --vertices-max,
+    and --edges-max is never read."""
+    names = ("n", "colors", "loop_order", "constraints", "window" if args.window else "vertices_max")
+    return {name: getattr(args, name) for name in names}
 
 
 def render(record, fmt):
@@ -357,13 +365,15 @@ def main(argv=None):
         if args.command == "homology":
             cache_dir = args.cache_dir or result_cache.default_cache_dir()
             code = result_cache.code_hash()
-            key = result_cache.record_key("homology", params_dict(args), code)
+            key = result_cache.record_key("homology", homology_key_params(args), code)
             try:
                 cached = result_cache.load(cache_dir, key, code)
             except result_cache.CacheCorruption as exc:
                 print(f"warning: {exc}", file=sys.stderr)
                 cached = None
             if cached is not None:
+                # a hit may come from a run with other unread flags
+                cached["params"] = params_dict(args)
                 sys.stdout.write(render(cached, args.output))
                 return 0
         rows = run_jobs(jobs, args.workers)

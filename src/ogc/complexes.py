@@ -2,17 +2,25 @@
 
 A slice is the span of symmetry classes of connected k-colored graphs
 with fixed vertex and edge counts, optionally restricted by valence and
-passing-vertex constraints.  The differential contracts single edges and
-deletes 1-valent vertices; it always drops both counts by one and never
-changes the loop number e - v.  Bases come from the graph module's
-colored-class enumerator, matrices from ``linalg.matrix_of``.
+passing-vertex constraints.  The differential is the sum of the edge
+contractions minus the deletions of 1-valent vertices; it always drops
+both counts by one and never changes the loop number e - v.  Bases come
+from the graph module's colored-class enumerator, matrices from
+``linalg.matrix_of``.
 
-Sign bookkeeping for the differential (validated globally by the d^2 = 0
-suite): before contracting edge t = (u -> w) the head w is moved to the
-last vertex label and t to the last edge label, each by a cyclic shift;
-before deleting a 1-valent vertex x the vertex is moved last, its edge is
-moved last and reversed to point at x if needed.  The shifts contribute
-(-1)^(v-1-w) resp. (-1)^(e-t) under the parity that makes them odd
+Only the terms that survive are built.  Contracting an edge with exactly
+one 1-valent end gives the same signed class as deleting that leaf, so
+``differential`` skips the pair: it builds only the contractions of the
+other edges and the deletions of the leaves of K2 components.
+``contract_edge`` and ``delete_one_valent`` build single terms.
+
+Sign bookkeeping (validated globally by the d^2 = 0 suite): every term
+removes one edge, labeled t, and one vertex x, through one helper,
+``_removal``; x is the head of a contracted edge or the deleted leaf.
+Before the removal x moves to the last vertex label and t to the last
+edge label, each by a cyclic shift, and the edge reverses to point at x
+if needed.  The shifts contribute (-1)^(v-1-x) resp. (-1)^(e-t) under
+the parity that makes them odd, and the reversal -1 under odd parity
 (``graphs.shift_sign``).
 """
 
@@ -189,25 +197,37 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
 # the differential
 
 
+def _removal(g: ColoredGraph, a: int, keep: int, gone: int, parity: Parity) -> TermVector:
+    """One term of the differential, signed as the module docstring says:
+    g with the edge at index a removed and vertex ``gone`` merged into
+    ``keep``, or deleted when ``keep == gone`` (then no other record
+    touches it).  Empty when the term vanishes: merging along a second
+    edge forms a tadpole, merging may close a colored cycle, and the
+    class may be Zero."""
+    out = TermVector()
+    rec = g.records[a]
+    ends = {rec[0], rec[1]}
+    if any(i != a and {r[0], r[1]} == ends for i, r in enumerate(g.records)):
+        return out
+    sign = (
+        shift_sign(g.v - 1 - gone, VERTICES_ODD, parity)
+        * shift_sign(g.e - 1 - a, EDGES.labels_odd, parity)
+        * shift_sign(rec[1] != gone, EDGES.reversal_odd, parity)
+    )
+    new_records = relabel_records(g.records, merge_labels(g.v, keep, gone), a)
+    if not all(_color_acyclic(g.v - 1, new_records, c) for c in range(1, g.k + 1)):
+        return out
+    out.add_class(canonicalize(ColoredGraph(g.v - 1, g.k, new_records), parity), sign)
+    return out
+
+
 def contract_edge(g: ColoredGraph, t: int, parity: Parity) -> TermVector:
     """Contract the edge labeled t (1-based); empty vector when the
     contraction forms a tadpole or a colored cycle or a Zero class."""
     if not (1 <= t <= g.e):
         raise ValueError(f"edge label {t} out of range 1..{g.e}")
-    rec = g.records[t - 1]
-    u, w = rec[0], rec[1]
-    out = TermVector()
-    # a second edge between u and w would close into a tadpole
-    for i, other in enumerate(g.records):
-        if i != t - 1 and {other[0], other[1]} == {u, w}:
-            return out
-    sign = shift_sign(g.v - 1 - w, VERTICES_ODD, parity) * shift_sign(g.e - t, EDGES.labels_odd, parity)
-    new_records = relabel_records(g.records, merge_labels(g.v, u, w), t - 1)
-    for c in range(1, g.k + 1):
-        if not _color_acyclic(g.v - 1, new_records, c):
-            return out
-    out.add_class(canonicalize(ColoredGraph(g.v - 1, g.k, new_records), parity), sign)
-    return out
+    u, w = g.records[t - 1][:2]
+    return _removal(g, t - 1, u, w, parity)
 
 
 def delete_one_valent(g: ColoredGraph, x: int, parity: Parity) -> TermVector:
@@ -215,27 +235,41 @@ def delete_one_valent(g: ColoredGraph, x: int, parity: Parity) -> TermVector:
     incident = [i for i, r in enumerate(g.records) if x in r[:2]]
     if len(incident) != 1:
         raise ValueError(f"vertex {x} is not 1-valent")
-    a = incident[0]
-    # x moves last, its edge moves last and reverses to point at x
-    sign = (
-        shift_sign(g.v - 1 - x, VERTICES_ODD, parity)
-        * shift_sign(g.e - 1 - a, EDGES.labels_odd, parity)
-        * shift_sign(g.records[a][1] != x, EDGES.reversal_odd, parity)
-    )
-    new_records = relabel_records(g.records, merge_labels(g.v, x, x), a)
-    out = TermVector()
-    out.add_class(canonicalize(ColoredGraph(g.v - 1, g.k, new_records), parity), sign)
-    return out
+    return _removal(g, incident[0], x, x, parity)
 
 
 def differential(g: ColoredGraph, parity: Parity) -> TermVector:
-    """Sum of all edge contractions minus all 1-valent deletions."""
+    """Sum of all edge contractions minus all 1-valent deletions, built
+    from the terms that survive: the contraction of an edge with exactly
+    one 1-valent end equals the deletion of that leaf, so both are
+    skipped.  Only a K2 component, an edge whose two ends are leaves,
+    keeps its contraction and both deletions.
+
+    Why the pair cancels, for an edge a = (u -> w) and a leaf x:
+
+    * Head leaf, x = w: the contraction merges w into u, the deletion
+      closes the gap at w; no other record touches w, so both relabel
+      the same records, and both move w and the edge last with no
+      reversal.  Same class, same sign.
+    * Tail leaf, x = u: the two results differ only in where w's image
+      sits, so their labelings differ by a cycle of |u - w| positions,
+      of sign (-1)^(|u-w|-1).  Under even parity vertex relabelings
+      and reversals are sign-free and the edge shifts agree.  Under odd
+      parity edge shifts are sign-free, and the deletion's
+      (-1)^(v-1-u) times its reversal -1 times the cycle's sign is
+      (-1)^(v-1-w), the contraction's sign.
+    """
+    deg = _pair_degrees(g.v, g.edges)
     out = TermVector()
-    for t in range(1, g.e + 1):
-        out.add_vector(contract_edge(g, t, parity))
-    for x, d in enumerate(_pair_degrees(g.v, g.edges)):
-        if d == 1:
-            out.add_vector(delete_one_valent(g, x, parity), -1)
+    for a, rec in enumerate(g.records):
+        u, w = rec[0], rec[1]
+        leaves = (deg[u] == 1) + (deg[w] == 1)
+        if leaves == 1:
+            continue
+        out.add_vector(_removal(g, a, u, w, parity))
+        if leaves == 2:
+            out.add_vector(_removal(g, a, u, u, parity), -1)
+            out.add_vector(_removal(g, a, w, w, parity), -1)
     return out
 
 

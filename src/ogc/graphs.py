@@ -41,12 +41,12 @@ which colors the structures of the orbit generator ``_orbit_reps``.
 Each labeled graph is canonicalized once per process, as far as a small
 memo allows.  ``_canonical_form`` keeps the last ``CANON_MEMO_SIZE``
 (1,024) results in an ``lru_cache`` keyed on the vertex count, the
-records, the kinds and the parity; about half the terms of a
-differential repeat one seen shortly before.  The bound keeps the
-memo small: on ``verify-props --n 1 --colors 1`` it adds about 1 MB
-(3%) of peak memory, 2,048 entries add 7% and save no measurable time
-over 1,024, and 4,096 add 16%.  A hit returns what the engine computes
-for the same four arguments, and each process keeps its own memo, so
+records, the kinds and the parity.  On ``verify-props --n 1 --colors 1``
+about a quarter of its calls hit (4,487 of 16,867), and against no memo
+it adds about 0.8 MB (3%) of peak memory and saves about a tenth of the
+run (2.98 to 2.62 s, medians of five runs on 2 cores, Python 3.11); the
+bound keeps it that small.  A hit returns what the engine computes for
+the same four arguments, and each process keeps its own memo, so
 ``--workers`` cannot change a row.
 
 Most inputs refine to singleton cells.  ``_refine`` stops as soon as
@@ -614,8 +614,8 @@ def relabel_records(records, lab, skip=None):
     return tuple((lab[r[0]], lab[r[1]]) + r[2:] for i, r in enumerate(records) if i != skip)
 
 
-# entries of the canonical-form memo; a larger memo costs peak memory
-# without saving measurable time (see the module docstring)
+# entries of the canonical-form memo, bounded to keep its peak memory
+# small (see the module docstring)
 CANON_MEMO_SIZE = 1 << 10
 
 

@@ -76,6 +76,20 @@ def test_code_hash_only_on_the_cached_path(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_homology_cache_keys_only_on_flags_it_reads(capsys, tmp_path):
+    # under --window, homology reads neither --vertices-max nor --edges-max
+    argv = HOMOLOGY[:-2] + ["--window", "1:2", "--cache-dir", str(tmp_path)]
+    records = []
+    for extra in (["--vertices-max", "7"], [], ["--edges-max", "3"]):
+        code, out, err = run_cli(argv + extra, capsys)
+        assert code == 0 and err == ""
+        records.append(json.loads(out))
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    assert [(r["params"]["vertices_max"], r["params"]["edges_max"]) for r in records] == [(7, 8), (5, 8), (5, 3)]
+    assert all(r["params"]["window"] == "1:2" for r in records)
+    assert records[0]["rows"] == records[1]["rows"] == records[2]["rows"] != []
+
+
 @pytest.mark.parametrize(
     "error, target, argv",
     [
