@@ -2,9 +2,14 @@
 """Drive the full verification battery through the CLI.
 
 Runs the d^2, chain-map, quasi-isomorphism and quotient suites for both
-parities at desk scale and reports a one-line verdict each.
+parities at desk scale and reports a one-line verdict each, followed by
+the SHA-256 of the command's ``rows`` (``-`` when it printed no record).
+The rows are deterministic, so a ``diff`` of two reports, say of two
+checkouts, shows each command whose verdict or rows differ.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 
@@ -34,6 +39,15 @@ RUNS = [
 ]
 
 
+def rows_digest(stdout):
+    """SHA-256 of the rows of a JSON record, or ``-`` if there is none."""
+    try:
+        rows = json.loads(stdout)["rows"]
+    except (ValueError, KeyError, TypeError):
+        return "-"
+    return hashlib.sha256(json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def main():
     failures = 0
     for label, argv in RUNS:
@@ -41,7 +55,7 @@ def main():
             [sys.executable, "-m", "ogc.cli"] + argv, capture_output=True, text=True
         )
         verdict = "PASS" if proc.returncode == 0 else f"FAIL (exit {proc.returncode})"
-        print(f"{label:<40} {verdict}")
+        print(f"{label:<40} {verdict:<14} {rows_digest(proc.stdout)}")
         if proc.returncode != 0:
             failures += 1
             sys.stderr.write(proc.stdout + proc.stderr)

@@ -29,12 +29,9 @@ out of memory: ...``); no record is printed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 from .graphs import Parity
 from .complexes import (
@@ -192,8 +189,11 @@ class UsageError(Exception):
 def run_jobs(jobs, workers):
     """Evaluate (key, fn, args) jobs, each returning a list of rows, and
     concatenate their rows in key order.  ``fn`` is a module-level
-    function, which the process pool pickles by name."""
+    function, which the process pool pickles by name.  The pool's modules
+    load only here, so a one-worker run never imports them."""
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(key, pool.submit(fn, *fn_args)) for key, fn, fn_args in jobs]
             results = [(key, fut.result()) for key, fut in futures]
@@ -348,6 +348,9 @@ def homology_key_params(args):
 def render(record, fmt):
     if fmt == "json":
         return result_cache.canonical_json(record) + "\n"
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(Row._fields)

@@ -8,15 +8,36 @@ both counts by one and never changes the loop number e - v.  Bases come
 from the graph module's colored-class enumerator, matrices from
 ``linalg.matrix_of``.
 
-Only the terms that survive are built.  Contracting an edge with exactly
-one 1-valent end gives the same signed class as deleting that leaf, so
-``differential`` skips the pair: it builds only the contractions of the
-other edges and the deletions of the leaves of K2 components.
-``contract_edge`` and ``delete_one_valent`` build single terms.
+Each column of the differential is built in one pass over its source
+graph, and only from the terms that survive.  Contracting an edge with
+exactly one 1-valent end gives the same signed class as deleting that
+leaf, so ``differential`` skips the pair: it builds only the
+contractions of the other edges and the deletions of the leaves of K2
+components.  Before any relabeling, ``_contractible`` counts the edges
+on each vertex pair and, per color, the vertices each vertex reaches,
+and drops every contraction that would form a tadpole or close a
+colored cycle.  The surviving terms are canonicalized and their signed
+coefficients added as ints into one dict, which becomes the column's
+``TermVector`` with one Fraction per entry.  ``contract_edge`` and
+``delete_one_valent`` build single terms through the same helper.
+
+Why these two tests are all it takes.  Contracting the edge u -> w
+merges w into u; a tadpole forms iff another edge joins u and w.  With
+no such edge, take a color and its arc p -> q on the pair.  The source
+is acyclic in that color, so a directed cycle in the merged graph must
+pass through the merged vertex, and reading it back in the source gives
+a path between the ends of the pair that avoids the contracted edge: not
+from p to p or q to q (a cycle in the source), not from q to p (a cycle
+with the arc p -> q), so from p to q.  That path is not the arc itself
+and, the pair carrying one edge, not of length 1; conversely every path
+p -> ... -> q of length >= 2 closes a cycle.  So the contraction closes a
+cycle in that color iff p reaches q by a path of length >= 2.  Deleting
+a vertex with its edge leaves a subgraph of an acyclic orientation, so a
+deletion never closes a cycle, and it never forms a tadpole.
 
 Sign bookkeeping (validated globally by the d^2 = 0 suite): every term
 removes one edge, labeled t, and one vertex x, through one helper,
-``_removal``; x is the head of a contracted edge or the deleted leaf.
+``_removals``; x is the head of a contracted edge or the deleted leaf.
 Before the removal x moves to the last vertex label and t to the last
 edge label, each by a cyclic shift, and the edge reverses to point at x
 if needed.  The shifts contribute (-1)^(v-1-x) resp. (-1)^(e-t) under
@@ -27,6 +48,7 @@ the parity that makes them odd, and the reversal -1 under odd parity
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +58,6 @@ from .graphs import (
     TermVector,
     GRAPH_KINDS,
     VERTICES_ODD,
-    _color_acyclic,
     _colored_classes,
     _orbit_reps,
     _pair_degrees,
@@ -197,28 +218,60 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
 # the differential
 
 
-def _removal(g: ColoredGraph, a: int, keep: int, gone: int, parity: Parity) -> TermVector:
-    """One term of the differential, signed as the module docstring says:
-    g with the edge at index a removed and vertex ``gone`` merged into
-    ``keep``, or deleted when ``keep == gone`` (then no other record
-    touches it).  Empty when the term vanishes: merging along a second
-    edge forms a tadpole, merging may close a colored cycle, and the
-    class may be Zero."""
-    out = TermVector()
-    rec = g.records[a]
-    ends = {rec[0], rec[1]}
-    if any(i != a and {r[0], r[1]} == ends for i, r in enumerate(g.records)):
-        return out
-    sign = (
-        shift_sign(g.v - 1 - gone, VERTICES_ODD, parity)
-        * shift_sign(g.e - 1 - a, EDGES.labels_odd, parity)
-        * shift_sign(rec[1] != gone, EDGES.reversal_odd, parity)
-    )
-    new_records = relabel_records(g.records, merge_labels(g.v, keep, gone), a)
-    if not all(_color_acyclic(g.v - 1, new_records, c) for c in range(1, g.k + 1)):
-        return out
-    out.add_class(canonicalize(ColoredGraph(g.v - 1, g.k, new_records), parity), sign)
-    return out
+def _far_reach(v, arcs):
+    """``far[x]``: the bit set of the vertices that x reaches by a directed
+    path of length >= 2 along the acyclic ``arcs``.  ``reach[x]`` is the
+    bit set of the vertices x reaches, itself included; the arcs join it
+    one at a time, as in ``graphs._acyclic_support_signs``."""
+    reach = [1 << x for x in range(v)]
+    for a, b in arcs:
+        # whatever reaches a now reaches everything b reaches
+        reach = [r | reach[b] if r >> a & 1 else r for r in reach]
+    far = [0] * v
+    for a, b in arcs:
+        far[a] |= reach[b] & ~(1 << b)
+    return far
+
+
+def _contractible(g: ColoredGraph):
+    """Per edge index, whether contracting the edge leaves a graph: not
+    when a second edge joins its ends (a tadpole), nor when in some color
+    its tail reaches its head by a path of length >= 2 (a directed
+    cycle).  The module docstring proves that nothing else can fail."""
+    pairs = [(r[0], r[1]) if r[0] < r[1] else (r[1], r[0]) for r in g.records]
+    mult = Counter(pairs)
+    ok = [mult[pair] == 1 for pair in pairs]
+    for i in range(2, 2 + g.k):
+        # each edge as its color-(i - 1) arc
+        arcs = [(r[0], r[1]) if r[i] > 0 else (r[1], r[0]) for r in g.records]
+        far = _far_reach(g.v, arcs)
+        ok = [keep and not far[a] >> b & 1 for keep, (a, b) in zip(ok, arcs)]
+    return ok
+
+
+def _removals(g: ColoredGraph, removals, parity: Parity) -> TermVector:
+    """The sum of the given terms of the differential, each a tuple
+    (a, keep, gone, coeff): ``coeff`` times g with the edge at index a
+    removed and vertex ``gone`` merged into ``keep``, or deleted when
+    ``keep == gone`` (then no other record touches it), signed as the
+    module docstring says.  The caller has dropped the terms that form a
+    tadpole or a colored cycle (``_contractible``); Zero classes drop
+    here.  Coefficients add up as ints, one Fraction per entry at the
+    end."""
+    counts = {}
+    for a, keep, gone, coeff in removals:
+        records = relabel_records(g.records, merge_labels(g.v, keep, gone), a)
+        cls = canonicalize(ColoredGraph(g.v - 1, g.k, records), parity)
+        if cls.is_zero:
+            continue
+        head = g.records[a][1]
+        sign = (
+            shift_sign(g.v - 1 - gone, VERTICES_ODD, parity)
+            * shift_sign(g.e - 1 - a, EDGES.labels_odd, parity)
+            * shift_sign(head != gone, EDGES.reversal_odd, parity)
+        )
+        counts[cls.rep] = counts.get(cls.rep, 0) + coeff * sign * cls.sign
+    return TermVector.from_counts(counts)
 
 
 def contract_edge(g: ColoredGraph, t: int, parity: Parity) -> TermVector:
@@ -227,7 +280,7 @@ def contract_edge(g: ColoredGraph, t: int, parity: Parity) -> TermVector:
     if not (1 <= t <= g.e):
         raise ValueError(f"edge label {t} out of range 1..{g.e}")
     u, w = g.records[t - 1][:2]
-    return _removal(g, t - 1, u, w, parity)
+    return _removals(g, [(t - 1, u, w, 1)] if _contractible(g)[t - 1] else [], parity)
 
 
 def delete_one_valent(g: ColoredGraph, x: int, parity: Parity) -> TermVector:
@@ -235,17 +288,21 @@ def delete_one_valent(g: ColoredGraph, x: int, parity: Parity) -> TermVector:
     incident = [i for i, r in enumerate(g.records) if x in r[:2]]
     if len(incident) != 1:
         raise ValueError(f"vertex {x} is not 1-valent")
-    return _removal(g, incident[0], x, x, parity)
+    return _removals(g, [(incident[0], x, x, 1)], parity)
 
 
 def differential(g: ColoredGraph, parity: Parity) -> TermVector:
-    """Sum of all edge contractions minus all 1-valent deletions, built
-    from the terms that survive: the contraction of an edge with exactly
-    one 1-valent end equals the deletion of that leaf, so both are
-    skipped.  Only a K2 component, an edge whose two ends are leaves,
-    keeps its contraction and both deletions.
+    """Sum of all edge contractions minus all 1-valent deletions, built in
+    one pass over g: ``_contractible`` tests every edge for a tadpole and
+    a colored cycle at once, and ``_removals`` canonicalizes the terms
+    that survive and adds their signed coefficients as ints, one Fraction
+    per entry of the result.
 
-    Why the pair cancels, for an edge a = (u -> w) and a leaf x:
+    The contraction of an edge with exactly one 1-valent end equals the
+    deletion of that leaf, so both are skipped.  Only a K2 component, an
+    edge whose two ends are leaves, keeps its contraction and both
+    deletions.  Why the pair cancels, for an edge a = (u -> w) and a leaf
+    x:
 
     * Head leaf, x = w: the contraction merges w into u, the deletion
       closes the gap at w; no other record touches w, so both relabel
@@ -260,17 +317,18 @@ def differential(g: ColoredGraph, parity: Parity) -> TermVector:
       (-1)^(v-1-w), the contraction's sign.
     """
     deg = _pair_degrees(g.v, g.edges)
-    out = TermVector()
+    contractible = _contractible(g)
+    removals = []
     for a, rec in enumerate(g.records):
         u, w = rec[0], rec[1]
         leaves = (deg[u] == 1) + (deg[w] == 1)
         if leaves == 1:
             continue
-        out.add_vector(_removal(g, a, u, w, parity))
+        if contractible[a]:
+            removals.append((a, u, w, 1))
         if leaves == 2:
-            out.add_vector(_removal(g, a, u, u, parity), -1)
-            out.add_vector(_removal(g, a, w, w, parity), -1)
-    return out
+            removals += ((a, u, u, -1), (a, w, w, -1))
+    return _removals(g, removals, parity)
 
 
 def differential_in_slice(g: ColoredGraph, parity: Parity, constraints) -> TermVector:

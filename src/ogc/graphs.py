@@ -810,6 +810,14 @@ class TermVector:
         for key, coeff in other.terms.items():
             self.add(key, scale * coeff)
 
+    @classmethod
+    def from_counts(cls, counts):
+        """The vector of a dict of int coefficients summed elsewhere: one
+        Fraction per nonzero entry."""
+        out = cls()
+        out.terms = {key: Fraction(coeff) for key, coeff in counts.items() if coeff}
+        return out
+
     def without(self, killed):
         """This vector without the terms whose key ``killed`` accepts: a
         quotient projection."""

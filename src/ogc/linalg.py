@@ -25,7 +25,8 @@ class SparseRationalMatrix:
     def set(self, r, c, value):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"entry ({r}, {c}) outside {self.rows}x{self.cols}")
-        value = Fraction(value)
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
         if value:
             self.data[(r, c)] = value
         else:

@@ -191,3 +191,34 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "enumerate"
+
+
+def test_import_loads_no_pool_or_csv_module():
+    # a one-worker JSON run needs neither the process pool nor csv, so
+    # importing the front end loads none of their modules
+    code = (
+        "import sys, ogc.cli\n"
+        "names = ('concurrent.futures', 'multiprocessing', 'csv')\n"
+        "print(sorted(m for m in sys.modules if m in names or m.startswith(names[:2])))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_battery_digest_is_the_sha256_of_the_rows(capsys, tmp_path):
+    import hashlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_verifications.py"
+    spec = importlib.util.spec_from_file_location("run_verifications", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--command", "verify-dsq", "--n", "1", "--colors", "1", "--vertices-max", "3",
+            "--edges-max", "4", "--constraints", "connected", "--cache-dir", str(tmp_path)]
+    _, out, _ = run_cli(argv, capsys)
+    rows = json.loads(out)["rows"]
+    expected = hashlib.sha256(json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    assert script.rows_digest(out) == expected
+    assert script.rows_digest("") == "-"

@@ -1,10 +1,23 @@
 """Basis enumeration, the differential, and homology of small slices."""
 
 import itertools
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from ogc.graphs import ColoredGraph, Parity, TermVector, canonicalize, is_connected, make_graph, valence
+from ogc.graphs import (
+    ColoredGraph,
+    Parity,
+    TermVector,
+    canonicalize,
+    is_acyclic_in_color,
+    is_connected,
+    make_graph,
+    merge_labels,
+    relabel_records,
+    valence,
+)
 from ogc.complexes import (
     Constraint,
     REDUCED_CONSTRAINTS,
@@ -244,6 +257,58 @@ class TestLeafCancellation:
                     leaf_edges += 1
         # the sweep reaches both cases the shortened differential treats
         assert leaf_edges > 1000 and k2_components > 10
+
+
+def _literal_differential(g, parity):
+    """Every contraction minus every 1-valent deletion, each term built and
+    filtered here: a merged graph drops when one of its records is a
+    tadpole or when ``is_acyclic_in_color`` finds a cycle in some color.
+    Returns the vector and, per dropped contraction that closes a cycle,
+    the list of colors in which it does."""
+    odd = parity is ODD
+    degrees = [valence(g, x) for x in range(g.v)]
+    terms = [(a, r[0], r[1], 1) for a, r in enumerate(g.records)]
+    terms += [(a, x, x, -1) for a, r in enumerate(g.records) for x in r[:2] if degrees[x] == 1]
+    out, cycles = TermVector(), []
+    for a, keep, gone, coeff in terms:
+        records = relabel_records(g.records, merge_labels(g.v, keep, gone), a)
+        if any(r[0] == r[1] for r in records):
+            continue
+        merged = ColoredGraph(g.v - 1, g.k, records)
+        closed = [c for c in range(1, g.k + 1) if not is_acyclic_in_color(merged, c)]
+        if closed:
+            cycles.append(closed)
+            continue
+        # vertex `gone` and edge a move last, the edge turned to head into
+        # `gone`: vertex moves and reversals are odd for odd n, edge moves
+        # for even n
+        moves = g.v - 1 - gone if odd else g.e - 1 - a
+        reversed_ = odd and g.records[a][1] != gone
+        out.add_class(canonicalize(merged, parity), coeff * (-1) ** (moves + reversed_))
+    return out, cycles
+
+
+class TestLiteralDifferential:
+    def test_differential_equals_the_sum_built_without_its_filters(self):
+        # k = 2 contractions that close a cycle in one color only, by color:
+        # a cycle test that skips a color lets one of them through
+        single_color_cycles = Counter()
+        for g, parity in _slice_graphs():
+            literal, cycles = _literal_differential(g, parity)
+            column = differential(g, parity)
+            assert column == literal, (g, parity)
+            assert all(type(c) is Fraction for c in column.terms.values()), (g, parity)
+            if g.k == 2:
+                single_color_cycles.update(closed[0] for closed in cycles if len(closed) == 1)
+        assert single_color_cycles[1] >= 1000 and single_color_cycles[2] >= 1000, single_color_cycles
+
+    def test_matrix_entries_are_fractions(self):
+        entries = []
+        for b, k, n in itertools.product((0, 1), (1, 2), (0, 1)):
+            chain = slice_chain(b, k, n, CONNECTED, v_max=4)
+            for src, dst in zip(chain, chain[1:]):
+                entries += differential_matrix(src, dst).data.values()
+        assert len(entries) > 500 and all(type(x) is Fraction and x for x in entries)
 
 
 class TestMatrices:
