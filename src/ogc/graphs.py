@@ -231,7 +231,7 @@ def _refine(v, nbrs):
     count = 1 if v else 0
     while count < v:
         sigs = [
-            (classes[x], tuple(sorted((classes[y], tag, d) for y, tag, d in nbrs[x])))
+            (classes[x], tuple(sorted([(classes[y], tag, d) for y, tag, d in nbrs[x]])))
             for x in range(v)
         ]
         rank_of = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -465,20 +465,31 @@ def _colored_classes(v, k, structures, kinds, parity, admit):
     ``structures`` yields ``(edges, stab)`` as ``_orbit_reps`` lists them:
     one sorted tuple of (t, h) pairs per kind in ``kinds`` and the vertex
     permutations fixing it.  The colorings of one class form one orbit of
-    the stabilizer, its full automorphism group, so a coloring is kept
-    when ``admit`` accepts its records and it is its own minimal form over
-    the stabilizer; its class's ``_canonical_form`` is stored, so the
-    differential's terms find it.
+    the stabilizer, its full automorphism group, so each orbit is swept
+    once, from the first of its colorings that ``admit`` accepts (admission
+    is a class property): every image under the stabilizer is marked
+    seen, and the class is kept unless it is Zero, that is unless a
+    tadpole or repeated records make every image Zero or two images agree
+    with opposite signs (an odd automorphism).  The kept class's
+    ``_canonical_form`` is stored, so the differential's terms find it.
     """
     reps = []
     for edges, stab in structures:
         stab_signed = tuple((p, perm_sign(p)) for p in stab)
+        seen = set()
         for colored in _colorings(v, k, edges):
-            if not admit(colored):
+            if colored in seen or not admit(colored):
                 continue
-            out = _normal_form(colored, kinds, parity, stab_signed)
-            if out is None or out[0] != colored:
-                continue  # zero class, or a non-canonical labeling of one
+            signs, zero = {}, False
+            for ps in stab_signed:
+                out = _normal_form(colored, kinds, parity, (ps,))
+                if out is None:
+                    zero = True
+                    break
+                zero |= signs.setdefault(out[0], out[1]) != out[1]
+            seen.update(signs)
+            if zero:
+                continue
             form = _canonical_form(v, colored, kinds, parity)
             assert form is not None, "stabilizer and refinement disagree on Zero"
             reps.append(form[0])
@@ -522,17 +533,23 @@ def _edge_ends(v, edges, kinds):
     at each edge end, the far end, the tag ``2 * kind + end`` and the color
     signs pointing away from this end, none of which a reversal changes.
     ``end`` is 1 at the head of a pinned arrow and at a reversible
-    tadpole, whose signs are taken up to reversal, and 0 otherwise."""
+    tadpole, whose signs are taken up to reversal, and 0 otherwise.  The
+    signs are the bits of an int, the first sign highest and +1 a one:
+    the records of one kind carry equally many signs, so these ints order
+    as the sign tuples do, and negating the signs complements the bits."""
     nbrs = [[] for _ in range(v)]
     for i, (records, kind) in enumerate(zip(edges, kinds)):
         out_tag, in_tag = 2 * i, 2 * i + (not kind.reversible)
         for rec in records:
-            t, h, cs = rec[0], rec[1], rec[2:]
-            neg = tuple(-s for s in cs)
+            t, h = rec[0], rec[1]
+            bits = 0
+            for s in rec[2:]:
+                bits = bits << 1 | (s > 0)
+            neg = bits ^ ((1 << (len(rec) - 2)) - 1)
             if t == h and kind.reversible:
-                nbrs[t].append((t, 2 * i + 1, min(cs, neg)))
+                nbrs[t].append((t, 2 * i + 1, min(bits, neg)))
             else:
-                nbrs[t].append((h, out_tag, cs))
+                nbrs[t].append((h, out_tag, bits))
                 nbrs[h].append((t, in_tag, neg))
     return nbrs
 
