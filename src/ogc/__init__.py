@@ -32,13 +32,12 @@ from .complexes import (
     homology_dims,
     slice_chain,
 )
-from .linalg import SparseRationalMatrix, kernel_basis, rank, rank_mod_p
+from .linalg import SparseRationalMatrix, kernel_basis, rank
 from .skeleton import (
     SkeletonFamily,
     SkeletonGraph,
     canonicalize_skeleton,
     expand_dotted,
-    extract_skeleton,
     make_skeleton,
     skeleton_degree_slice,
     skeleton_differential,

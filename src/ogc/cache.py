@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from functools import lru_cache
@@ -17,8 +16,12 @@ def code_hash() -> str:
 
     Any edit to ``ogc/*.py``, such as a change of canonical
     representatives, changes the hash, so no record computed by other code
-    replays.  Computed on first use: only cached commands pay for it.
+    replays.  Computed on first use, and ``hashlib`` (with OpenSSL) is
+    imported here and in ``record_key`` only: only cached commands pay
+    for either.
     """
+    import hashlib
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0")
@@ -31,6 +34,8 @@ def canonical_json(obj) -> str:
 
 
 def record_key(command: str, params: dict, code_version: str) -> str:
+    import hashlib
+
     payload = canonical_json({"command": command, "params": params, "version": code_version})
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -42,6 +47,10 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "ogc"
 
 
+def entry_path(cache_dir: Path, key: str) -> Path:
+    return Path(cache_dir) / f"{key}.json"
+
+
 class CacheCorruption(RuntimeError):
     def __init__(self, key, path, reason):
         super().__init__(f"cache entry {key} at {path} is corrupt: {reason}")
@@ -49,7 +58,7 @@ class CacheCorruption(RuntimeError):
 
 
 def load(cache_dir: Path, key: str, code_version: str):
-    path = Path(cache_dir) / f"{key}.json"
+    path = entry_path(cache_dir, key)
     if not path.exists():
         return None
     try:
@@ -74,7 +83,7 @@ def store(cache_dir: Path, key: str, code_version: str, record: dict):
         "key": key,
         "record": record,
     }
-    path = cache_dir / f"{key}.json"
+    path = entry_path(cache_dir, key)
     # a temp name of this writer's own, so concurrent writers of one key
     # never move each other's file; the last replace wins whole
     tmp = cache_dir / f"{key}.{os.getpid()}.tmp"

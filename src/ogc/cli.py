@@ -345,6 +345,13 @@ def homology_key_params(args):
     return {name: getattr(args, name) for name in names}
 
 
+def is_record(cached):
+    """Whether a cached record has the shape ``main`` writes: a dict whose
+    ``rows`` are dicts carrying exactly the fields of ``Row``."""
+    rows = cached.get("rows") if isinstance(cached, dict) else None
+    return isinstance(rows, list) and all(isinstance(row, dict) and row.keys() == set(Row._fields) for row in rows)
+
+
 def render(record, fmt):
     if fmt == "json":
         return result_cache.canonical_json(record) + "\n"
@@ -371,6 +378,8 @@ def main(argv=None):
             key = result_cache.record_key("homology", homology_key_params(args), code)
             try:
                 cached = result_cache.load(cache_dir, key, code)
+                if cached is not None and not is_record(cached):
+                    raise result_cache.CacheCorruption(key, result_cache.entry_path(cache_dir, key), "malformed record")
             except result_cache.CacheCorruption as exc:
                 print(f"warning: {exc}", file=sys.stderr)
                 cached = None

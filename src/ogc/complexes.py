@@ -49,8 +49,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import (
     ColoredGraph,
@@ -97,8 +97,7 @@ DEFAULT_BOUNDS = {"v": 8, "e": 12, "k": 2}
 SHAPE_BOUNDS = {"v": 6, "e": 12, "k": 2}
 
 
-@dataclass(frozen=True)
-class SliceParams:
+class SliceParams(NamedTuple):
     v: int
     e: int
     k: int
@@ -117,11 +116,15 @@ class SliceParams:
     def loop_number(self) -> int:
         return self.e - self.v
 
-@dataclass(frozen=True)
+
 class BasisSlice:
-    params: SliceParams
-    basis: tuple
-    degree: int
+    """The sorted basis of one slice and its degree; its length is the
+    basis size."""
+
+    __slots__ = ("params", "basis", "degree")
+
+    def __init__(self, params: SliceParams, basis: tuple, degree: int):
+        self.params, self.basis, self.degree = params, basis, degree
 
     def __len__(self):
         return len(self.basis)
@@ -151,8 +154,7 @@ def check_bounds(v, e, k, force=False):
 # underlying multigraphs, orbit representatives and acyclic orientations
 
 
-@dataclass(frozen=True)
-class _Multigraph:
+class _Multigraph(NamedTuple):
     pairs: tuple          # sorted (t, h) pairs with t < h
     degrees: tuple
     stab: tuple           # vertex perms fixing the sorted pair multiset

@@ -22,6 +22,11 @@ Conventions used throughout the package:
 * A graph whose symmetry class supports an odd automorphism is zero; the
   canonical form machinery detects this and reports the distinguished
   ``Zero`` value.
+* ``ColoredGraph``, ``GroupElement`` and ``CanonicalClass`` are
+  ``typing.NamedTuple`` records: immutable, and hashed and compared in C
+  as their field tuples, which the differential's sums,
+  ``linalg.matrix_of``'s index and the canonical-form memo do for every
+  term.  ``<`` orders graphs by ``sort_key``.
 
 Canonical forms come from one labeling engine shared with the skeleton
 complex.  It sees a graph as a tuple of typed edge kinds (``EdgeKind``):
@@ -59,7 +64,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -80,8 +84,7 @@ class Parity(enum.Enum):
         return Parity(1 - self.value)
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class ColoredGraph(NamedTuple):
     """A labeled directed multigraph with k per-edge orientation signs.
 
     ``records[i]`` is the flat record of the edge labeled ``i + 1``.
@@ -134,8 +137,7 @@ def check_graph(g: ColoredGraph):
             raise ValueError(f"color {c} orientation has a directed cycle")
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """One symmetry: a vertex relabeling, an edge relabeling and reversals.
 
     ``vertex_perm[i]`` is the new label of vertex ``i``; ``edge_perm[i]``
@@ -148,8 +150,7 @@ class GroupElement:
     flips: frozenset
 
 
-@dataclass(frozen=True)
-class CanonicalClass:
+class CanonicalClass(NamedTuple):
     """Canonical representative with sign, or the distinguished Zero.
 
     A non-zero value means the input graph equals ``sign`` times the class

@@ -3,24 +3,26 @@ products.
 
 All arithmetic is over ``fractions.Fraction``; no floating point enters
 any rank or homology computation.  One elimination loop, ``_eliminate``,
-serves the exact rank, the kernel basis and a Mersenne-prime modular
-rank; the modular rank is only a fast cross-check, and the exact
-elimination is always the authoritative answer.
+serves the exact rank and the kernel basis; it takes the field's
+reciprocal and normalization as arguments, so the test suite's modular
+rank cross-check runs the same loop, and the exact elimination is always
+the authoritative answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-CHECK_PRIME = (1 << 61) - 1
 
-
-@dataclass
 class SparseRationalMatrix:
-    rows: int
-    cols: int
-    data: dict = field(default_factory=dict)
+    """A rows x cols matrix holding its nonzero entries in ``data``, a
+    dict {(row, col): Fraction}."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data: dict | None = None):
+        self.rows, self.cols = rows, cols
+        self.data = {} if data is None else data
 
     def set(self, r, c, value):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
@@ -116,20 +118,6 @@ def rank(m: SparseRationalMatrix) -> int:
     for (r, c), v in m.data.items():
         rows.setdefault(r, {})[c] = v
     return sum(1 for _ in _eliminate(list(rows.values()), *_EXACT))
-
-
-def rank_mod_p(m: SparseRationalMatrix, p: int = CHECK_PRIME) -> int:
-    """Rank of the matrix reduced modulo a large prime.
-
-    Underestimates the true rank with probability ~|entries|/p; used
-    only as a cross-check against the exact path.
-    """
-    rows = {}
-    for (r, c), v in m.data.items():
-        val = v.numerator * pow(v.denominator % p, p - 2, p) % p
-        if val:
-            rows.setdefault(r, {})[c] = val
-    return sum(1 for _ in _eliminate(list(rows.values()), lambda x: pow(x, p - 2, p), lambda x: x % p))
 
 
 def homology(slices, matrix):

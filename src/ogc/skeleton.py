@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import (
     SKELETON_KINDS,
@@ -54,7 +54,6 @@ from .graphs import (
     _pairs_connected,
     _passing_in_color,
     canonicalize,
-    is_weakly_passing,
     merge_labels,
     relabel_records,
     shift_sign,
@@ -65,8 +64,7 @@ from .linalg import SparseRationalMatrix, homology, matrix_of
 SOLID, DOTTED = SKELETON_KINDS
 
 
-@dataclass(frozen=True)
-class SkeletonGraph:
+class SkeletonGraph(NamedTuple):
     """Two-kind graph: ``solid[i]`` and ``dotted[i]`` are flat records
     ``(tail, head, s_1, ..., s_k)`` carrying the k base color signs."""
 
@@ -305,7 +303,7 @@ def skeleton_differential(sg: SkeletonGraph, parity: Parity) -> TermVector:
 
 
 # ---------------------------------------------------------------------------
-# expansion into the full complex and skeleton extraction
+# expansion into the full complex
 
 
 def expand_dotted(sg: SkeletonGraph, parity: Parity) -> TermVector:
@@ -340,81 +338,11 @@ def expand_dotted(sg: SkeletonGraph, parity: Parity) -> TermVector:
     return out
 
 
-def extract_skeleton(g: ColoredGraph) -> SkeletonGraph:
-    """Collapse strings of weakly passing vertices into skeleton edges.
-
-    Length-1 strings give solid edges (record direction = last-color
-    direction), length-2 strings give dotted edges (arrow from the lower
-    string-edge label to the higher one, reversed for the configuration
-    that points away from the middle).  Longer strings are outside the
-    solid/dotted span and raise ValueError.
-    """
-    if g.k < 1:
-        raise ValueError("skeleton extraction needs the distinguished last color")
-    K = g.k
-    weak = [is_weakly_passing(g, x) for x in range(g.v)]
-    skeleton_vertices = [x for x in range(g.v) if not weak[x]]
-    if not skeleton_vertices:
-        raise ValueError("graph has no skeleton vertices")
-    new_label = {x: i for i, x in enumerate(skeleton_vertices)}
-    incident = {x: [] for x in range(g.v)}
-    for idx, rec in enumerate(g.records):
-        incident[rec[0]].append(idx)
-        incident[rec[1]].append(idx)
-    used = set()
-    solid, dotted = [], []
-    for start in skeleton_vertices:
-        for first in incident[start]:
-            if first in used:
-                continue
-            chain = [first]
-            mids = []
-            prev = start
-            cur = _other_end(g.records[first], prev)
-            while weak[cur]:
-                mids.append(cur)
-                nxt = next(i for i in incident[cur] if i != chain[-1])
-                chain.append(nxt)
-                prev = cur
-                cur = _other_end(g.records[nxt], prev)
-            used.update(chain)
-            if len(chain) == 1:
-                rec = g.records[first]
-                t, h = (rec[0], rec[1]) if rec[1 + K] > 0 else (rec[1], rec[0])
-                cs = tuple(s if rec[1 + K] > 0 else -s for s in rec[2 : 1 + K])
-                solid.append((new_label[t], new_label[h]) + cs)
-            elif len(chain) == 2:
-                a, b = sorted(chain)
-                mid = mids[0]
-                ra = g.records[a]
-                ua, ub = _other_end(ra, mid), _other_end(g.records[b], mid)
-                a_into_mid = (ra[1] == mid) == (ra[1 + K] > 0)
-                tail, head = (ua, ub) if a_into_mid else (ub, ua)
-                # base colors run consistently through the string; read
-                # them off edge a relative to the dotted arrow
-                cs = []
-                for c in range(1, K):
-                    toward_mid = (ra[1] == mid) == (ra[1 + c] > 0)
-                    starts_at_tail = ua == tail
-                    cs.append(1 if toward_mid == starts_at_tail else -1)
-                dotted.append((new_label[tail], new_label[head]) + tuple(cs))
-            else:
-                raise ValueError("skeleton edge of length 3 or more")
-    if len(used) != g.e:
-        raise ValueError("closed string of weakly passing vertices")
-    return SkeletonGraph(len(skeleton_vertices), K - 1, tuple(sorted(solid)), tuple(sorted(dotted)))
-
-
-def _other_end(rec, x):
-    return rec[1] if rec[0] == x else rec[0]
-
-
 # ---------------------------------------------------------------------------
 # graded bases
 
 
-@dataclass(frozen=True)
-class SkeletonSliceParams:
+class SkeletonSliceParams(NamedTuple):
     """One shape: v skeleton vertices, given solid and dotted counts."""
 
     v: int
@@ -479,17 +407,14 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     return tuple(sorted((SkeletonGraph(v, k, solid, dotted) for solid, dotted in reps), key=sk_sort_key))
 
 
-@dataclass(frozen=True)
 class SkeletonDegreeSlice:
     """All shapes sharing one degree: fixed loop number and fixed
     expanded vertex count u = v + dotted count."""
 
-    b: int
-    u: int
-    k: int
-    n: int
-    family: SkeletonFamily
-    basis: tuple
+    __slots__ = ("b", "u", "k", "n", "family", "basis")
+
+    def __init__(self, b: int, u: int, k: int, n: int, family: SkeletonFamily, basis: tuple):
+        self.b, self.u, self.k, self.n, self.family, self.basis = b, u, k, n, family, basis
 
     def __len__(self):
         return len(self.basis)

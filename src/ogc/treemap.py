@@ -20,8 +20,8 @@ former intrinsic direction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import (
     CanonicalClass,
@@ -73,36 +73,7 @@ def spanning_trees(g: ColoredGraph):
     ]
 
 
-def tree_count_oracle(g: ColoredGraph) -> int:
-    """Matrix-tree count: determinant of the reduced Laplacian."""
-    n = g.v
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    for rec in g.records:
-        t, h = rec[0], rec[1]
-        lap[t][t] += 1
-        lap[h][h] += 1
-        lap[t][h] -= 1
-        lap[h][t] -= 1
-    m = [row[1:] for row in lap[1:]]
-    det = Fraction(1)
-    size = n - 1
-    for c in range(size):
-        piv = next((r for r in range(c, size) if m[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, size):
-            f = m[r][c] / m[c][c]
-            for cc in range(c, size):
-                m[r][cc] -= f * m[c][cc]
-    return int(det)
-
-
-@dataclass(frozen=True)
-class TreeImage:
+class TreeImage(NamedTuple):
     """One signed image term: root, tree, reversal count, and the
     canonical class (its sign folds in every convention above)."""
 
@@ -209,8 +180,7 @@ def spanning_tree_map(g: ColoredGraph, n_parity: Parity, project=True) -> TermVe
     return out.without(lambda rep: quotient_kills(rep, SkeletonFamily.SIMPLE, m_parity))
 
 
-@dataclass
-class ChainMapReport:
+class ChainMapReport(NamedTuple):
     graph: ColoredGraph
     native_equal: bool
     expanded_equal: bool
@@ -266,22 +236,22 @@ def induced_matrix(src: BasisSlice, dst: SkeletonDegreeSlice) -> SparseRationalM
     )
 
 
-@dataclass
 class QuasiIsoRow:
-    v: int
-    u: int
-    degree: int
-    dim_source: int
-    dim_target: int
-    induced_iso: bool
+    """One degree of the comparison: source slice v, target slice u, their
+    homology dimensions and whether the induced map is an isomorphism."""
+
+    __slots__ = ("v", "u", "degree", "dim_source", "dim_target", "induced_iso")
+
+    def __init__(self, v: int, u: int, degree: int, dim_source: int, dim_target: int, induced_iso: bool):
+        self.v, self.u, self.degree = v, u, degree
+        self.dim_source, self.dim_target, self.induced_iso = dim_source, dim_target, induced_iso
 
     @property
     def ok(self):
         return self.dim_source == self.dim_target and self.induced_iso
 
 
-@dataclass
-class QuasiIsoReport:
+class QuasiIsoReport(NamedTuple):
     b: int
     k: int
     n: int

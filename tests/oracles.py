@@ -1,0 +1,123 @@
+"""Independent checks that only the tests use: the matrix-tree count of
+spanning trees, the collapse of an expanded graph back into its
+skeleton, and a modular rank through the package's elimination loop."""
+
+from fractions import Fraction
+
+from ogc.graphs import ColoredGraph, is_weakly_passing
+from ogc.linalg import SparseRationalMatrix, _eliminate
+from ogc.skeleton import SkeletonGraph
+
+CHECK_PRIME = (1 << 61) - 1
+
+
+def tree_count_oracle(g: ColoredGraph) -> int:
+    """Matrix-tree count: determinant of the reduced Laplacian."""
+    n = g.v
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for rec in g.records:
+        t, h = rec[0], rec[1]
+        lap[t][t] += 1
+        lap[h][h] += 1
+        lap[t][h] -= 1
+        lap[h][t] -= 1
+    m = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    size = n - 1
+    for c in range(size):
+        piv = next((r for r in range(c, size) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, size):
+            f = m[r][c] / m[c][c]
+            for cc in range(c, size):
+                m[r][cc] -= f * m[c][cc]
+    return int(det)
+
+
+def extract_skeleton(g: ColoredGraph) -> SkeletonGraph:
+    """Collapse strings of weakly passing vertices into skeleton edges.
+
+    Length-1 strings give solid edges (record direction = last-color
+    direction), length-2 strings give dotted edges (arrow from the lower
+    string-edge label to the higher one, reversed for the configuration
+    that points away from the middle).  Longer strings are outside the
+    solid/dotted span and raise ValueError.
+    """
+    if g.k < 1:
+        raise ValueError("skeleton extraction needs the distinguished last color")
+    K = g.k
+    weak = [is_weakly_passing(g, x) for x in range(g.v)]
+    skeleton_vertices = [x for x in range(g.v) if not weak[x]]
+    if not skeleton_vertices:
+        raise ValueError("graph has no skeleton vertices")
+    new_label = {x: i for i, x in enumerate(skeleton_vertices)}
+    incident = {x: [] for x in range(g.v)}
+    for idx, rec in enumerate(g.records):
+        incident[rec[0]].append(idx)
+        incident[rec[1]].append(idx)
+    used = set()
+    solid, dotted = [], []
+    for start in skeleton_vertices:
+        for first in incident[start]:
+            if first in used:
+                continue
+            chain = [first]
+            mids = []
+            prev = start
+            cur = _other_end(g.records[first], prev)
+            while weak[cur]:
+                mids.append(cur)
+                nxt = next(i for i in incident[cur] if i != chain[-1])
+                chain.append(nxt)
+                prev = cur
+                cur = _other_end(g.records[nxt], prev)
+            used.update(chain)
+            if len(chain) == 1:
+                rec = g.records[first]
+                t, h = (rec[0], rec[1]) if rec[1 + K] > 0 else (rec[1], rec[0])
+                cs = tuple(s if rec[1 + K] > 0 else -s for s in rec[2 : 1 + K])
+                solid.append((new_label[t], new_label[h]) + cs)
+            elif len(chain) == 2:
+                a, b = sorted(chain)
+                mid = mids[0]
+                ra = g.records[a]
+                ua, ub = _other_end(ra, mid), _other_end(g.records[b], mid)
+                a_into_mid = (ra[1] == mid) == (ra[1 + K] > 0)
+                tail, head = (ua, ub) if a_into_mid else (ub, ua)
+                # base colors run consistently through the string; read
+                # them off edge a relative to the dotted arrow
+                cs = []
+                for c in range(1, K):
+                    toward_mid = (ra[1] == mid) == (ra[1 + c] > 0)
+                    starts_at_tail = ua == tail
+                    cs.append(1 if toward_mid == starts_at_tail else -1)
+                dotted.append((new_label[tail], new_label[head]) + tuple(cs))
+            else:
+                raise ValueError("skeleton edge of length 3 or more")
+    if len(used) != g.e:
+        raise ValueError("closed string of weakly passing vertices")
+    return SkeletonGraph(len(skeleton_vertices), K - 1, tuple(sorted(solid)), tuple(sorted(dotted)))
+
+
+def _other_end(rec, x):
+    return rec[1] if rec[0] == x else rec[0]
+
+
+def rank_mod_p(m: SparseRationalMatrix, p: int = CHECK_PRIME) -> int:
+    """Rank of the matrix reduced modulo a large prime, by the package's
+    one elimination loop (``linalg._eliminate``) over GF(p).
+
+    Underestimates the true rank with probability ~|entries|/p; used
+    only as a cross-check against the exact path.
+    """
+    rows = {}
+    for (r, c), v in m.data.items():
+        val = v.numerator * pow(v.denominator % p, p - 2, p) % p
+        if val:
+            rows.setdefault(r, {})[c] = val
+    return sum(1 for _ in _eliminate(list(rows.values()), lambda x: pow(x, p - 2, p), lambda x: x % p))

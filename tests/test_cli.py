@@ -206,6 +206,24 @@ def test_import_loads_no_pool_or_csv_module():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["ogc.cli", "ogc.graphs"])
+def test_import_adds_no_dataclasses_or_hashlib(module):
+    # records are tuples and only the homology cache hashes, so against
+    # what a bare interpreter already holds, importing the front end or
+    # the graph module loads neither dataclasses (with inspect) nor
+    # hashlib (with OpenSSL)
+    code = (
+        "import sys\n"
+        "names = ('dataclasses', 'inspect', 'hashlib', '_hashlib')\n"
+        "bare = set(sys.modules)\n"
+        f"import {module}\n"
+        "print(sorted(m for m in names if m in sys.modules and m not in bare))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_battery_digest_is_the_sha256_of_the_rows(capsys, tmp_path):
     import hashlib
     import importlib.util

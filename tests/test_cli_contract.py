@@ -34,10 +34,11 @@ def test_entry_of_other_code_is_recomputed(capsys, tmp_path, monkeypatch):
     # doctor the stored record: under the same code it replays as stored
     (entry,) = tmp_path.glob("*.json")
     body = json.loads(entry.read_text())
-    body["record"]["rows"] = ["stale"]
+    stale = [dict(body["record"]["rows"][0], value="stale")]
+    body["record"]["rows"] = stale
     entry.write_text(json.dumps(body))
     _, replayed, _ = run_cli(argv, capsys)
-    assert json.loads(replayed)["rows"] == ["stale"]
+    assert json.loads(replayed)["rows"] == stale
     # other code keys a different entry and recomputes
     monkeypatch.setattr(result_cache, "code_hash", lambda: "b" * 64)
     code, out, _ = run_cli(argv, capsys)
@@ -59,6 +60,39 @@ def test_entry_under_current_key_with_other_code_header_is_recomputed(capsys, tm
     assert code == 0
     assert "header mismatch" in err
     assert json.loads(out)["rows"] == json.loads(fresh)["rows"]
+
+
+ROW = {"v": 1, "e": 2, "b": 1, "degree": 0, "value": 0}
+
+
+@pytest.mark.parametrize(
+    "record, output",
+    [
+        (["not", "a", "dict"], "json"),
+        ({"command": "homology", "params": {}, "rows": "none", "timing": 0}, "json"),
+        ({"command": "homology", "params": {}, "rows": [{"v": 1, "e": 2}], "timing": 0}, "csv"),
+        ({"command": "homology", "params": {}, "rows": [dict(ROW, extra=1)], "timing": 0}, "json"),
+        ({"command": "homology", "params": {}, "rows": [ROW, "stale"], "timing": 0}, "csv"),
+    ],
+    ids=["not-a-dict", "rows-not-a-list", "row-missing-fields", "row-extra-field", "row-not-a-dict"],
+)
+def test_malformed_record_is_reported_and_recomputed(record, output, capsys, tmp_path):
+    argv = HOMOLOGY + ["--cache-dir", str(tmp_path), "--output", output]
+    code, fresh, _ = run_cli(argv, capsys)
+    assert code == 0
+    (entry,) = tmp_path.glob("*.json")
+    stored = json.loads(entry.read_text())
+    entry.write_text(json.dumps(dict(stored, record=record)))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert err == f"warning: cache entry {entry.stem} at {entry} is corrupt: malformed record\n"
+    if output == "csv":
+        assert out == fresh
+    else:
+        assert json.loads(out)["rows"] == json.loads(fresh)["rows"]
+    # the recomputed record replaces the malformed one
+    assert json.loads(entry.read_text())["record"]["rows"] == stored["record"]["rows"]
+    assert run_cli(argv, capsys)[2] == ""
 
 
 def test_code_hash_only_on_the_cached_path(capsys, tmp_path, monkeypatch):

@@ -353,7 +353,7 @@ class TestMatrices:
 
 class TestRankCrossCheck:
     def test_modular_rank_agrees_on_real_differentials(self):
-        from ogc.linalg import rank_mod_p
+        from oracles import rank_mod_p
 
         src = enumerate_basis(params(5, 7, 1, 1))
         dst = enumerate_basis(params(4, 6, 1, 1))

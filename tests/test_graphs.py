@@ -1,6 +1,7 @@
 """Core graph model: predicates, the signed action, canonical forms."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from ogc.graphs import (
     perm_parity,
     valence,
 )
+from ogc.complexes import REDUCED_CONSTRAINTS, SliceParams
+from ogc.skeleton import SkeletonGraph
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -285,3 +288,33 @@ def test_term_vector_stores_fractions():
     vec.add_vector(half, Fraction(1, 2))
     assert vec.terms == {SINGLE_EDGE: -3, TRIANGLE: Fraction(1, 2)}
     assert all(type(c) is Fraction for c in vec.terms.values())
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (ColoredGraph(3, 1, ((0, 1, 1), (1, 2, -1))), ("v", "k", "records")),
+        (SkeletonGraph(2, 0, ((0, 1),), ((0, 1), (1, 1))), ("v", "k", "solid", "dotted")),
+        (CanonicalClass(ColoredGraph(2, 0, ((0, 1),)), -1), ("rep", "sign")),
+        (SliceParams(4, 6, 0, 1, REDUCED_CONSTRAINTS), ("v", "e", "k", "n", "constraints")),
+    ],
+    ids=["ColoredGraph", "SkeletonGraph", "CanonicalClass", "SliceParams"],
+)
+def test_records_are_immutable_values_of_their_fields(record, fields):
+    values = tuple(getattr(record, name) for name in fields)
+    # dict and set orders, and so every row, follow the field tuple's hash
+    assert hash(record) == hash(values)
+    assert type(record)(*values) == record
+    # the --workers pool pickles records both ways
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record) and back == record
+    named = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(record) == f"{type(record).__name__}({named})"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_graph_repr_names_its_fields():
+    # the form ClosureError messages print for a term outside the basis
+    assert repr(ColoredGraph(2, 0, ((0, 1),))) == "ColoredGraph(v=2, k=0, records=((0, 1),))"

@@ -10,8 +10,8 @@ from ogc.linalg import (
     induced_rank,
     kernel_basis,
     rank,
-    rank_mod_p,
 )
+from oracles import rank_mod_p
 
 
 def dense_rank(rows):

@@ -15,7 +15,6 @@ from ogc.skeleton import (
     dotted_differential,
     enumerate_skeleton_shape,
     expand_dotted,
-    extract_skeleton,
     has_multiple_edge,
     is_valid_special,
     make_skeleton,
@@ -25,6 +24,7 @@ from ogc.skeleton import (
     skeleton_differential_matrix,
     skeleton_homology_dims,
 )
+from oracles import extract_skeleton
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 

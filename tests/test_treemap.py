@@ -30,11 +30,11 @@ from ogc.treemap import (
     induced_matrix,
     spanning_tree_map,
     spanning_trees,
-    tree_count_oracle,
     tree_image,
     verify_chain_map,
     verify_quasi_iso,
 )
+from oracles import tree_count_oracle
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
