@@ -4,8 +4,10 @@
 Runs the d^2, chain-map, quasi-isomorphism and quotient suites for both
 parities at desk scale and reports a one-line verdict each, followed by
 the SHA-256 of the command's ``rows`` (``-`` when it printed no record).
-The rows are deterministic, so a ``diff`` of two reports, say of two
-checkouts, shows each command whose verdict or rows differ.
+The verifiers' rows carry verdicts only, so two ``enumerate`` runs add
+the connected basis sizes of both parities, and a change in a basis
+shows too.  The rows are deterministic, so a ``diff`` of two reports,
+say of two checkouts, shows each command whose verdict or rows differ.
 """
 
 import hashlib
@@ -36,6 +38,12 @@ RUNS = [
     ("quasi-isomorphism (odd)", ["--command", "verify-thm1", "--n", "1"]),
     ("subcomplex properties (even)", ["--command", "verify-props", "--n", "0", "--colors", "0"]),
     ("subcomplex properties (odd)", ["--command", "verify-props", "--n", "1", "--colors", "1"]),
+    ("basis sizes (connected, even)", ["--command", "enumerate", "--n", "0", "--colors", "1",
+                                       "--vertices-max", "5", "--edges-max", "7",
+                                       "--constraints", "connected"]),
+    ("basis sizes (connected, odd)", ["--command", "enumerate", "--n", "1", "--colors", "1",
+                                      "--vertices-max", "5", "--edges-max", "7",
+                                      "--constraints", "connected"]),
 ]
 
 

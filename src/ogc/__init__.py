@@ -15,7 +15,6 @@ from .graphs import (
     is_acyclic_in_color,
     is_connected,
     is_passing,
-    is_weakly_passing,
     make_graph,
     valence,
 )

@@ -190,11 +190,12 @@ def run_jobs(jobs, workers):
     """Evaluate (key, fn, args) jobs, each returning a list of rows, and
     concatenate their rows in key order.  ``fn`` is a module-level
     function, which the process pool pickles by name.  The pool's modules
-    load only here, so a one-worker run never imports them."""
+    load only here, so a one-worker run never imports them, and the pool
+    starts no more processes than there are jobs."""
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [(key, pool.submit(fn, *fn_args)) for key, fn, fn_args in jobs]
             results = [(key, fut.result()) for key, fut in futures]
     else:

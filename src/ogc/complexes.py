@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from functools import lru_cache
 from typing import NamedTuple
 
 from .graphs import (
@@ -151,26 +150,7 @@ def check_bounds(v, e, k, force=False):
 
 
 # ---------------------------------------------------------------------------
-# underlying multigraphs, orbit representatives and acyclic orientations
-
-
-class _Multigraph(NamedTuple):
-    pairs: tuple          # sorted (t, h) pairs with t < h
-    degrees: tuple
-    stab: tuple           # vertex perms fixing the sorted pair multiset
-
-
-@lru_cache(maxsize=None)
-def _multigraph_reps(v: int, e: int, min_valence=0, connected=False):
-    """Orbit representatives of e-edge multigraphs on v labeled vertices,
-    each with its stabilizer: the degree-sorted labelings built first by
-    the orbit generator ``_orbit_reps``.  Only those whose every degree is
-    at least ``min_valence`` and, if ``connected``, that are connected are
-    built; the defaults build all of them."""
-    return tuple(
-        _Multigraph(pairs, _pair_degrees(v, pairs), stab)
-        for (pairs,), stab in _orbit_reps(v, ((e, False, False),), connected, min_valence)
-    )
+# basis enumeration
 
 
 def _min_valence(k, cons):
@@ -182,11 +162,12 @@ def _min_valence(k, cons):
     return 3 if k == 0 and Constraint.NO_PASSING in cons else 2
 
 
-def _admits_degrees(M, cons):
+def _admits_degrees(v, pairs, cons):
     """The degree constraints that the orbit generator does not enforce."""
-    if Constraint.ONLY_2_VALENT in cons and any(d != 2 for d in M.degrees):
+    degrees = _pair_degrees(v, pairs)
+    if Constraint.ONLY_2_VALENT in cons and any(d != 2 for d in degrees):
         return False
-    return Constraint.MIN_VALENCE_3_SOMEWHERE not in cons or any(d >= 3 for d in M.degrees)
+    return Constraint.MIN_VALENCE_3_SOMEWHERE not in cons or any(d >= 3 for d in degrees)
 
 
 def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
@@ -195,18 +176,19 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
 
     Works in two levels: orbit representatives of the underlying
     multigraph that pass the connectivity and degree constraints first
-    (the generator builds only connected ones and ones of the least
-    degree the constraints admit), then the colored classes on each
-    (``graphs._colored_classes``), dropping colorings with a passing
-    vertex under the no-passing constraint.
+    (the generator ``graphs._orbit_reps`` builds only connected ones and
+    ones of the least degree the constraints admit), then the colored
+    classes on each (``graphs._colored_classes``), dropping colorings
+    with a passing vertex under the no-passing constraint.
     """
     check_constraints(params.constraints)
     check_bounds(params.v, params.e, params.k, force)
     if params.v < 1 or params.e < 0:
         raise ValueError("need v >= 1 and e >= 0")
     v, k, cons = params.v, params.k, params.constraints
-    multigraphs = _multigraph_reps(v, params.e, _min_valence(k, cons), Constraint.CONNECTED in cons)
-    structures = [((M.pairs,), M.stab) for M in multigraphs if _admits_degrees(M, cons)]
+    kinds = ((params.e, False, False),)
+    multigraphs = _orbit_reps(v, kinds, Constraint.CONNECTED in cons, _min_valence(k, cons))
+    structures = [(edges, stab) for edges, stab in multigraphs if _admits_degrees(v, edges[0], cons)]
 
     def admit(edges):
         return Constraint.NO_PASSING not in cons or not has_passing_vertex(ColoredGraph(v, k, edges[0]))

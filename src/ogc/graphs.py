@@ -202,13 +202,6 @@ def _inversion_parity(items) -> int:
 
 
 @lru_cache(maxsize=None)
-def perm_sign(perm: tuple) -> int:
-    """Cached ``perm_parity`` for tuple permutations that recur, such as
-    the stabilizer elements the basis enumerators sweep per coloring."""
-    return perm_parity(perm)
-
-
-@lru_cache(maxsize=None)
 def _perms_with_signs(v: int):
     return tuple((p, perm_parity(p)) for p in itertools.permutations(range(v)))
 
@@ -277,18 +270,20 @@ def _cell_perms(cells):
         yield tuple(perm), sign
 
 
+@lru_cache(maxsize=None)
 def _orbit_reps(v, kinds, connected=False, min_valence=0):
-    """Orbit representatives, with full stabilizers, of typed edge
+    """Orbit representatives, with full signed stabilizers, of typed edge
     structures on v labeled vertices (orderly generation after McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).
 
     ``kinds`` lists ``(count, directed, loops)``: ``count`` arcs (t, h)
     forming an acyclic digraph, or pairs t < h plus loops (t, t) if
     ``loops``.  Returns ``(edges, stab)``: one sorted tuple per kind and
-    the vertex permutations fixing it.  Only structures that are
-    connected, if ``connected``, and whose every vertex has valence at
-    least ``min_valence`` are returned; an arc or pair end counts once
-    and a loop twice.
+    the (vertex permutation, sign) pairs fixing it, as ``_cell_perms``
+    yields them.  Only structures that are connected, if ``connected``,
+    and whose every vertex has valence at least ``min_valence`` are
+    returned; an arc or pair end counts once and a loop twice.  The one
+    cache of the generation layer: both bases reuse its structures.
 
     Only labelings whose vertex signatures ((out, in) per directed kind,
     (degree, loops) per undirected one) do not increase are built.  Edges
@@ -350,11 +345,11 @@ def _orbit_reps(v, kinds, connected=False, min_valence=0):
             return
         cells = [list(c) for _, c in itertools.groupby(range(v), key=sig.__getitem__)]
         stab = []
-        for p, _ in _cell_perms(cells):
+        for p, sign in _cell_perms(cells):
             moved = image(p)
             seen.add(moved)
             if moved == key:
-                stab.append(p)
+                stab.append((p, sign))
         reps.append((key, tuple(stab)))
 
     def extend(i):
@@ -464,9 +459,9 @@ def _colored_classes(v, k, structures, kinds, parity, admit):
     given structures, one per class, in structure order.
 
     ``structures`` yields ``(edges, stab)`` as ``_orbit_reps`` lists them:
-    one sorted tuple of (t, h) pairs per kind in ``kinds`` and the vertex
-    permutations fixing it.  The colorings of one class form one orbit of
-    the stabilizer, its full automorphism group, so each orbit is swept
+    one sorted tuple of (t, h) pairs per kind in ``kinds`` and the signed
+    stabilizer, swept as it is.  The colorings of one class form one orbit
+    of the stabilizer, its full automorphism group, so each orbit is swept
     once, from the first of its colorings that ``admit`` accepts (admission
     is a class property): every image under the stabilizer is marked
     seen, and the class is kept unless it is Zero, that is unless a
@@ -476,13 +471,12 @@ def _colored_classes(v, k, structures, kinds, parity, admit):
     """
     reps = []
     for edges, stab in structures:
-        stab_signed = tuple((p, perm_sign(p)) for p in stab)
         seen = set()
         for colored in _colorings(v, k, edges):
             if colored in seen or not admit(colored):
                 continue
             signs, zero = {}, False
-            for ps in stab_signed:
+            for ps in stab:
                 out = _normal_form(colored, kinds, parity, (ps,))
                 if out is None:
                     zero = True
@@ -773,23 +767,6 @@ def is_passing(g: ColoredGraph, x: int) -> bool:
     return all(_passing_in_color(g.records, x, c) for c in range(1, g.k + 1))
 
 
-def is_weakly_passing(g: ColoredGraph, x: int) -> bool:
-    """Passing in every color but the last one, where it is not passing.
-
-    The graph's last color plays the distinguished role; the remaining
-    k - 1 colors are the base ones.
-    """
-    if g.k < 1:
-        raise ValueError("weak passing needs at least one color")
-    if not (0 <= x < g.v):
-        raise ValueError(f"vertex {x} out of range")
-    if valence(g, x) != 2:
-        return False
-    if _passing_in_color(g.records, x, g.k):
-        return False
-    return all(_passing_in_color(g.records, x, c) for c in range(1, g.k))
-
-
 def has_passing_vertex(g: ColoredGraph) -> bool:
     return any(d == 2 and is_passing(g, x) for x, d in enumerate(_pair_degrees(g.v, g.edges)))
 
@@ -803,11 +780,8 @@ class TermVector:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self):
         self.terms = {}
-        if terms:
-            for key, coeff in terms.items() if isinstance(terms, dict) else terms:
-                self.add(key, coeff)
 
     def add(self, key, coeff):
         if not isinstance(coeff, Fraction):

@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .graphs import (
@@ -367,18 +366,6 @@ def _family_admits(sg, family, parity):
     return True
 
 
-@lru_cache(maxsize=None)
-def _skeleton_structures(v, n_solid, n_dotted, min_valence=0):
-    """Orbit representatives of connected (directed acyclic solid,
-    undirected dotted) edge structures, with stabilizers: the labelings
-    with sorted (solid out, solid in, dotted degree, dotted loops)
-    signatures built first by the orbit generator ``_orbit_reps``.  Only
-    those whose every vertex has valence at least ``min_valence`` are
-    built, a dotted tadpole counting twice; the default builds all."""
-    kinds = ((n_solid, True, False), (n_dotted, False, True))
-    return tuple((s, d, stab) for (s, d), stab in _orbit_reps(v, kinds, True, min_valence))
-
-
 def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     """Canonical classes of one (v, solids, dotteds) shape, sorted.
 
@@ -398,7 +385,7 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     if not force and (v > SHAPE_BOUNDS["v"] or s + 2 * d > SHAPE_BOUNDS["e"] or k > SHAPE_BOUNDS["k"]):
         raise ValueError(f"shape {params} exceeds default bounds; pass force=True")
     parity = params.parity
-    structures = (((solids, dotteds), stab) for solids, dotteds, stab in _skeleton_structures(v, s, d, m))
+    structures = _orbit_reps(v, ((s, True, False), (d, False, True)), True, m)
 
     def admit(edges):
         return _family_admits(SkeletonGraph(v, k, *edges), params.family, parity)

@@ -1,10 +1,11 @@
 """Independent checks that only the tests use: the matrix-tree count of
-spanning trees, the collapse of an expanded graph back into its
-skeleton, and a modular rank through the package's elimination loop."""
+spanning trees, weak passing and the collapse of an expanded graph back
+into its skeleton, and a modular rank through the package's elimination
+loop."""
 
 from fractions import Fraction
 
-from ogc.graphs import ColoredGraph, is_weakly_passing
+from ogc.graphs import ColoredGraph, _passing_in_color, valence
 from ogc.linalg import SparseRationalMatrix, _eliminate
 from ogc.skeleton import SkeletonGraph
 
@@ -37,6 +38,23 @@ def tree_count_oracle(g: ColoredGraph) -> int:
             for cc in range(c, size):
                 m[r][cc] -= f * m[c][cc]
     return int(det)
+
+
+def is_weakly_passing(g: ColoredGraph, x: int) -> bool:
+    """Passing in every color but the last one, where it is not passing.
+
+    The graph's last color plays the distinguished role; the remaining
+    k - 1 colors are the base ones.
+    """
+    if g.k < 1:
+        raise ValueError("weak passing needs at least one color")
+    if not (0 <= x < g.v):
+        raise ValueError(f"vertex {x} out of range")
+    if valence(g, x) != 2:
+        return False
+    if _passing_in_color(g.records, x, g.k):
+        return False
+    return all(_passing_in_color(g.records, x, c) for c in range(1, g.k))
 
 
 def extract_skeleton(g: ColoredGraph) -> SkeletonGraph:

@@ -172,6 +172,45 @@ def test_workers_do_not_change_rows(capsys, tmp_path):
     assert json.loads(out1)["rows"] == json.loads(out2)["rows"]
 
 
+def test_pool_starts_no_more_workers_than_jobs(capsys, tmp_path, monkeypatch):
+    # the first submit starts every worker the pool is given, so a large
+    # --workers must shrink to the job count; a fake pool records the
+    # size asked for and runs each job in-process, so no process starts
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.jobs = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.jobs += 1
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    argv = [
+        "--command", "enumerate", "--n", "1", "--vertices-max", "3",
+        "--edges-max", "4", "--constraints", "connected",
+        "--cache-dir", str(tmp_path),
+    ]
+    _, out1, _ = run_cli(argv, capsys)
+    code, out2, _ = run_cli(argv + ["--workers", "500"], capsys)
+    assert code == 0
+    assert json.loads(out1)["rows"] == json.loads(out2)["rows"]
+    (pool,) = pools
+    assert 1 < pool.jobs and pool.max_workers <= pool.jobs
+
+
 def test_cache_dir_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OGC_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = run_cli(

@@ -8,18 +8,25 @@ so the pruned output must be the unpruned output filtered by the same
 predicates: the same representatives with the same stabilizers, in the
 same order.  The predicates here (valence by counting ends, a loop
 twice; connectivity by search from vertex 0) share no code with the
-generator.  The unpruned side calls the uncached functions, so its
+generator.  The unpruned side calls the uncached generator, so its
 structures do not stay in memory.
 """
 
 import pytest
 
-from ogc.complexes import _multigraph_reps
-from ogc.skeleton import _skeleton_structures
+from ogc.graphs import _orbit_reps
 
 MIN_VALENCES = (2, 3)
 MULTIGRAPH_SLICES = [(v, e) for v in range(1, 7) for e in range(0, 11)]
 SKELETON_SHAPES = [(v, s, d) for v in range(1, 6) for d in range(0, 6) for s in range(0, 11 - 2 * d)]
+
+
+def multigraphs(v, e, m=0, conn=False):
+    return _orbit_reps.__wrapped__(v, ((e, False, False),), conn, m)
+
+
+def skeletons(v, s, d, m=0):
+    return _orbit_reps.__wrapped__(v, ((s, True, False), (d, False, True)), True, m)
 
 
 def valences(v, edges):
@@ -44,25 +51,25 @@ def connected(v, pairs):
 
 @pytest.mark.parametrize("v, e", MULTIGRAPH_SLICES)
 def test_multigraph_prunes_keep_the_filtered_orbits(v, e):
-    full = _multigraph_reps.__wrapped__(v, e)
+    full = multigraphs(v, e)
     for m in MIN_VALENCES:
         for conn in (False, True):
             kept = tuple(
-                M for M in full
-                if min(valences(v, M.pairs)) >= m and (not conn or connected(v, M.pairs))
+                (edges, stab) for edges, stab in full
+                if min(valences(v, edges[0])) >= m and (not conn or connected(v, edges[0]))
             )
-            assert _multigraph_reps.__wrapped__(v, e, m, conn) == kept, (m, conn)
+            assert multigraphs(v, e, m, conn) == kept, (m, conn)
 
 
 @pytest.mark.parametrize("v, s, d", SKELETON_SHAPES)
 def test_skeleton_prunes_keep_the_filtered_orbits(v, s, d):
-    full = _skeleton_structures.__wrapped__(v, s, d)
+    full = skeletons(v, s, d)
     for m in MIN_VALENCES:
-        kept = tuple(rep for rep in full if min(valences(v, rep[0] + rep[1])) >= m)
-        assert _skeleton_structures.__wrapped__(v, s, d, m) == kept, m
+        kept = tuple((edges, stab) for edges, stab in full if min(valences(v, edges[0] + edges[1])) >= m)
+        assert skeletons(v, s, d, m) == kept, m
 
 
 def test_prunes_build_nothing_without_enough_edge_ends():
     # 7 vertices need 21 edge ends at valence 3, and 10 edges have 20
-    assert _multigraph_reps.__wrapped__(7, 10, 3, True) == ()
-    assert _skeleton_structures.__wrapped__(6, 9, 0, 4) == ()
+    assert multigraphs(7, 10, 3, True) == ()
+    assert skeletons(6, 9, 0, 4) == ()

@@ -20,13 +20,13 @@ from ogc.graphs import (
     is_acyclic_in_color,
     is_connected,
     is_passing,
-    is_weakly_passing,
     make_graph,
     perm_parity,
     valence,
 )
 from ogc.complexes import REDUCED_CONSTRAINTS, SliceParams
 from ogc.skeleton import SkeletonGraph
+from oracles import is_weakly_passing
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 

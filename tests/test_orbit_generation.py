@@ -1,12 +1,16 @@
 """The orbit generator against the exhaustive S_v action.
 
-``complexes._multigraph_reps`` and ``skeleton._skeleton_structures`` build
-one labeled representative per orbit together with its stabilizer.  Three
-checks hold them to the exhaustive picture: the orbit-stabilizer count of
-all labeled structures, the stabilizer as exactly the permutations fixing
-the representative, and representatives pairwise non-isomorphic.  The
-oracles here (acyclicity by depth-first search, connectivity by search
-from vertex 0, all v! permutations) share no code with the generator.
+``graphs._orbit_reps`` builds one labeled representative per orbit
+together with its signed stabilizer, for the multigraphs under the
+ordinary basis and the connected solid/dotted structures under the
+skeleton one.  Three checks hold it to the exhaustive picture: the
+orbit-stabilizer count of all labeled structures, the stabilizer as
+exactly the permutations fixing the representative, and representatives
+pairwise non-isomorphic.  The oracles here (acyclicity by depth-first
+search, connectivity by search from vertex 0, all v! permutations) share
+no code with the generator.  Each stabilizer element's sign, which the
+generator multiplies together from its blocks, must also equal the
+parity of the whole permutation (``perm_parity``, by cycle lengths).
 """
 
 import itertools
@@ -14,8 +18,7 @@ from math import comb, factorial
 
 import pytest
 
-from ogc.complexes import _multigraph_reps
-from ogc.skeleton import _skeleton_structures
+from ogc.graphs import _orbit_reps, perm_parity
 
 MULTIGRAPH_SLICES = [(v, e) for v in range(1, 6) for e in range(0, 9)]
 SKELETON_SHAPES = [(v, s, d) for v in range(1, 5) for s in range(0, 6) for d in range(0, 6 - s)]
@@ -26,11 +29,11 @@ SKELETON = (True, False)
 
 
 def multigraph_reps(v, e):
-    return [((M.pairs,), M.stab) for M in _multigraph_reps(v, e)]
+    return _orbit_reps(v, ((e, False, False),))
 
 
 def skeleton_reps(v, s, d):
-    return [((solids, dotteds), stab) for solids, dotteds, stab in _skeleton_structures(v, s, d)]
+    return _orbit_reps(v, ((s, True, False), (d, False, True)), True)
 
 
 def image(p, structure, directed):
@@ -106,8 +109,10 @@ def test_stabilizer_is_the_full_automorphism_group():
         for rep, stab in reps:
             assert image(range(v), rep, directed) == rep, "representative not sorted"
             fixing = {p for p in itertools.permutations(range(v)) if image(p, rep, directed) == rep}
-            assert all(image(p, rep, directed) == rep for p in stab)
-            assert len(stab) == len(set(stab)) == len(fixing), (v, rep)
+            perms = [p for p, _ in stab]
+            assert all(image(p, rep, directed) == rep for p in perms)
+            assert len(perms) == len(set(perms)) == len(fixing), (v, rep)
+            assert all(sign == perm_parity(p) for p, sign in stab), (v, rep)
 
 
 def test_representatives_pairwise_non_isomorphic():

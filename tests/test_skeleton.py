@@ -24,7 +24,7 @@ from ogc.skeleton import (
     skeleton_differential_matrix,
     skeleton_homology_dims,
 )
-from oracles import extract_skeleton
+from oracles import extract_skeleton, is_weakly_passing
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -166,8 +166,6 @@ class TestExpand:
 
     def test_expansion_is_weakly_passing_at_middles(self):
         vec = expand_dotted(SOLID_PLUS_TWO_DOTTED, EVEN)
-        from ogc.graphs import is_weakly_passing
-
         assert not vec.is_zero()
         for rep in vec.terms:
             assert rep.v == 4 and rep.e == 5
@@ -290,8 +288,6 @@ class TestExpansionCompatibility:
         # vertices leaves the solid/dotted span; the native differential
         # projects those terms away, so the expanded difference must
         # consist of graphs with weakly passing vertices only
-        from ogc.graphs import is_weakly_passing
-
         shapes = [(3, 2, 2), (3, 3, 1), (4, 3, 2)]
         checked = 0
         for v, s, d in shapes:
