@@ -1,4 +1,13 @@
-"""Content-addressed result cache: one file per key, versioned header."""
+"""Content-addressed result cache: one file per key, versioned header.
+
+Keys and code versions are 32-byte BLAKE2b digests (64 hex characters)
+from ``_blake2``, the builtin module behind ``hashlib.blake2b``.
+Importing ``hashlib`` would load OpenSSL, about 3.5 MB of a ``homology``
+command's peak memory, though the cache needs no OpenSSL digest.
+``hashlib`` never takes OpenSSL's blake2, so an interpreter without
+``_blake2`` has no ``hashlib.blake2b`` either, and no other import is
+tried.
+"""
 
 from __future__ import annotations
 
@@ -12,20 +21,20 @@ CACHE_FORMAT = 1
 
 @lru_cache(maxsize=None)
 def code_hash() -> str:
-    """SHA-256 of the package's own sources, the code version of a record.
+    """BLAKE2b of the package's own sources, the code version of a record:
+    each file's name, then the digest of its bytes.
 
     Any edit to ``ogc/*.py``, such as a change of canonical
     representatives, changes the hash, so no record computed by other code
-    replays.  Computed on first use, and ``hashlib`` (with OpenSSL) is
-    imported here and in ``record_key`` only: only cached commands pay
-    for either.
+    replays.  Computed on first use, and ``_blake2`` is imported here and
+    in ``record_key`` only: only cached commands pay for either.
     """
-    import hashlib
+    from _blake2 import blake2b
 
-    digest = hashlib.sha256()
+    digest = blake2b(digest_size=32)
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0")
-        digest.update(hashlib.sha256(path.read_bytes()).digest())
+        digest.update(blake2b(path.read_bytes(), digest_size=32).digest())
     return digest.hexdigest()
 
 
@@ -34,10 +43,11 @@ def canonical_json(obj) -> str:
 
 
 def record_key(command: str, params: dict, code_version: str) -> str:
-    import hashlib
+    """BLAKE2b of the command, its keyed flags and the code version."""
+    from _blake2 import blake2b
 
     payload = canonical_json({"command": command, "params": params, "version": code_version})
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return blake2b(payload.encode(), digest_size=32).hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -87,5 +97,9 @@ def store(cache_dir: Path, key: str, code_version: str, record: dict):
     # a temp name of this writer's own, so concurrent writers of one key
     # never move each other's file; the last replace wins whole
     tmp = cache_dir / f"{key}.{os.getpid()}.tmp"
-    tmp.write_text(canonical_json(body))
-    tmp.replace(path)
+    try:
+        tmp.write_text(canonical_json(body))
+        tmp.replace(path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -402,7 +402,12 @@ def main(argv=None):
             "timing": round(time.time() - start, 6),
         }
         if args.command == "homology":
-            result_cache.store(cache_dir, key, code, record)
+            try:
+                result_cache.store(cache_dir, key, code, record)
+            except OSError as exc:
+                # the rows are computed; an unwritable cache only costs the replay
+                path = result_cache.entry_path(cache_dir, key)
+                print(f"warning: cannot write cache entry {key} at {path}: {exc}", file=sys.stderr)
         sys.stdout.write(render(record, args.output))
         return 1 if verify and not all(row.value.startswith("pass") for row in rows) else 0
     except (UsageError, ValueError) as exc:

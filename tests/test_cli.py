@@ -263,15 +263,60 @@ def test_import_adds_no_dataclasses_or_hashlib(module):
     assert proc.stdout.strip() == "[]"
 
 
-def test_battery_digest_is_the_sha256_of_the_rows(capsys, tmp_path):
+def test_cache_path_loads_no_openssl(tmp_path):
+    # the cache hashes with the builtin _blake2, so neither a cold
+    # homology run nor a cache hit loads hashlib or OpenSSL's _hashlib
+    code = (
+        "import sys\n"
+        "from ogc.cli import main\n"
+        "argv = ['--command', 'homology', '--n', '1', '--loop-order', '1',\n"
+        "        '--vertices-max', '2', '--cache-dir', sys.argv[1]]\n"
+        "seen = []\n"
+        "for _ in range(2):\n"
+        "    assert main(argv) == 0\n"
+        "    seen.append(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+        "print(seen)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    cold, hit, seen = proc.stdout.splitlines()
+    assert cold == hit and seen == "[[], []]"
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_cache_keys_are_blake2b_digests():
     import hashlib
+    from pathlib import Path
+
+    from ogc import cache
+
+    digest = hashlib.blake2b(digest_size=32)
+    for path in sorted(Path(cache.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(hashlib.blake2b(path.read_bytes(), digest_size=32).digest())
+    assert cache.code_hash() == digest.hexdigest()
+    params = {"n": 1, "colors": 0, "loop_order": 2, "constraints": "reduced", "vertices_max": 4}
+    payload = json.dumps({"command": "homology", "params": params, "version": "v"}, sort_keys=True, separators=(",", ":"))
+    key = cache.record_key("homology", params, "v")
+    assert key == hashlib.blake2b(payload.encode(), digest_size=32).hexdigest()
+    assert len(key) == 64
+
+
+def load_script(name):
     import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_verifications.py"
-    spec = importlib.util.spec_from_file_location("run_verifications", path)
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_battery_digest_is_the_sha256_of_the_rows(capsys, tmp_path):
+    import hashlib
+
+    script = load_script("run_verifications")
     argv = ["--command", "verify-dsq", "--n", "1", "--colors", "1", "--vertices-max", "3",
             "--edges-max", "4", "--constraints", "connected", "--cache-dir", str(tmp_path)]
     _, out, _ = run_cli(argv, capsys)
@@ -279,3 +324,24 @@ def test_battery_digest_is_the_sha256_of_the_rows(capsys, tmp_path):
     expected = hashlib.sha256(json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     assert script.rows_digest(out) == expected
     assert script.rows_digest("") == "-"
+
+
+@pytest.mark.parametrize(
+    "n, colors, loop_max, vertices_max",
+    [(0, 1, 1, 4), (1, 1, 2, 5)],
+    ids=["k1-n0-b1-v4", "k1-n1-b2-v5"],
+)
+def test_homology_table_script_prints_the_homology_rows(n, colors, loop_max, vertices_max, capsys, tmp_path):
+    # the script's top slice gets its boundaries from one vertex above,
+    # so it prints the rows `homology` prints, never a cycle count
+    load_script("homology_table").main(
+        ["--n", str(n), "--colors", str(colors), "--loop-max", str(loop_max), "--vertices-max", str(vertices_max)]
+    )
+    table = sorted(tuple(map(int, line.split())) for line in capsys.readouterr().out.splitlines()[2:])
+    expected = []
+    for b in range(1, loop_max + 1):
+        argv = ["--command", "homology", "--n", str(n), "--colors", str(colors), "--loop-order", str(b),
+                "--vertices-max", str(vertices_max), "--cache-dir", str(tmp_path)]
+        _, out, _ = run_cli(argv, capsys)
+        expected += [(r["b"], r["v"], r["e"], r["degree"], r["value"]) for r in json.loads(out)["rows"]]
+    assert table == sorted(expected)

@@ -124,6 +124,35 @@ def test_homology_cache_keys_only_on_flags_it_reads(capsys, tmp_path):
     assert records[0]["rows"] == records[1]["rows"] == records[2]["rows"] != []
 
 
+def test_regular_file_as_cache_dir_still_prints_the_record(capsys, tmp_path):
+    _, fresh, _ = run_cli(HOMOLOGY + ["--cache-dir", str(tmp_path / "cache")], capsys)
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("kept")
+    code, out, err = run_cli(HOMOLOGY + ["--cache-dir", str(not_a_dir)], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"] == json.loads(fresh)["rows"]
+    assert err.startswith(f"warning: cannot write cache entry {entry.stem} at {not_a_dir / entry.name}: ")
+    assert err.count("\n") == 1
+    assert not_a_dir.read_text() == "kept"
+
+
+def test_directory_at_the_entry_path_still_prints_the_record(capsys, tmp_path):
+    argv = HOMOLOGY + ["--cache-dir", str(tmp_path)]
+    _, fresh, _ = run_cli(argv, capsys)
+    (entry,) = tmp_path.glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["rows"] == json.loads(fresh)["rows"]
+    corrupt, unwritable = err.splitlines()
+    assert corrupt.startswith(f"warning: cache entry {entry.stem} at {entry} is corrupt: ")
+    assert unwritable.startswith(f"warning: cannot write cache entry {entry.stem} at {entry}: ")
+    # the writer's temp file does not outlive the failed move
+    assert list(tmp_path.iterdir()) == [entry] and entry.is_dir()
+
+
 @pytest.mark.parametrize(
     "error, target, argv",
     [
