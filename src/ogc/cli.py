@@ -42,7 +42,7 @@ from .complexes import (
     SliceParams,
     differential_matrix,
     enumerate_basis,
-    homology_dims,
+    homology_table,
     slice_chain,
 )
 from .linalg import ClosureError
@@ -125,7 +125,9 @@ FLAG_READERS = {
 def top_slices(args):
     """(v, e, bounds) of the largest slices a command builds: enumerate
     and homology take v from --window, the homology and verify-props
-    chains run one vertex above the table, verify-dsq's chains reach v =
+    chains run one vertex above the table (that slice is held to the
+    bounds, though built only as far as its rank needs,
+    ``complexes.homology_table``), verify-dsq's chains reach v =
     --edges-max + 1 at most and e = --edges-max, and verify-thm1 builds
     source slices up to v = 2b + 1 and skeleton shapes up to v = 2b with
     e = 6b from the loop order b alone.  verify-chain stays within the
@@ -220,10 +222,8 @@ def _job_dsq_chain(b, k, n, constraints, v_top, force):
 
 
 def _job_homology(b, k, n, constraints, v_lo, v_hi, force):
-    chain = slice_chain(b, k, n, constraints, v_max=v_hi + 1, force=force)
-    return sorted(
-        Row(v, v + b, b, degree, dim) for v, degree, dim in homology_dims(chain) if v_lo <= v <= v_hi
-    )
+    rows = homology_table(b, k, n, constraints, v_hi, force=force)
+    return sorted(Row(v, v + b, b, degree, dim) for v, degree, dim in rows if v_lo <= v)
 
 
 def _job_chain_slice(v, e, n, force):
@@ -243,7 +243,7 @@ def _job_thm1(b, n, force):
 def _job_props_valence(b, k, n, v_max, force):
     full = frozenset({Constraint.CONNECTED})
     full_dims, min2_dims = (
-        {v: dim for v, _, dim in homology_dims(slice_chain(b, k, n, cons, v_max=v_max + 1, force=force))}
+        {v: dim for v, _, dim in homology_table(b, k, n, cons, v_max, force=force)}
         for cons in (full, full | {Constraint.MIN_VALENCE_2})
     )
     rows = []

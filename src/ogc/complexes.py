@@ -43,6 +43,11 @@ edge label, each by a cyclic shift, and the edge reverses to point at x
 if needed.  The shifts contribute (-1)^(v-1-x) resp. (-1)^(e-t) under
 the parity that makes them odd, and the reversal -1 under odd parity
 (``graphs.shift_sign``).
+
+Homology tables.  Since d^2 = 0, the rank of the differential out of the
+slice above a table is at most the kernel dimension at the table's top,
+so ``homology_table`` builds that slice only until the bound is met; the
+columns it never builds are checked for closure only by ``verify-dsq``.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from .graphs import (
     VERTICES_ODD,
     _colored_classes,
     _orbit_reps,
+    _orbit_search,
     _pair_degrees,
     canonicalize,
     has_passing_vertex,
@@ -67,7 +73,7 @@ from .graphs import (
     shift_sign,
     sort_key,
 )
-from .linalg import SparseRationalMatrix, homology, matrix_of
+from .linalg import SparseRationalMatrix, column_map, homology, matrix_of, rank_until
 
 (EDGES,) = GRAPH_KINDS
 
@@ -170,31 +176,39 @@ def _admits_degrees(v, pairs, cons):
     return Constraint.MIN_VALENCE_3_SOMEWHERE not in cons or any(d >= 3 for d in degrees)
 
 
-def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
-    """All canonical classes of the slice, sorted, duplicates and Zero
-    classes removed.
+def _orbit_args(params: SliceParams):
+    """The orbit generator's arguments for the slice's underlying
+    multigraphs: connected ones only under the connectivity constraint,
+    and only ones of the least degree the constraints admit."""
+    cons = params.constraints
+    return params.v, ((params.e, False, False),), Constraint.CONNECTED in cons, _min_valence(params.k, cons)
 
-    Works in two levels: orbit representatives of the underlying
-    multigraph that pass the connectivity and degree constraints first
-    (the generator ``graphs._orbit_reps`` builds only connected ones and
-    ones of the least degree the constraints admit), then the colored
-    classes on each (``graphs._colored_classes``), dropping colorings
-    with a passing vertex under the no-passing constraint.
-    """
-    check_constraints(params.constraints)
-    check_bounds(params.v, params.e, params.k, force)
-    if params.v < 1 or params.e < 0:
-        raise ValueError("need v >= 1 and e >= 0")
+
+def _classes(params: SliceParams, structures):
+    """The classes of a slice on the given orbit structures of its
+    underlying multigraph, in their order, each as it is found: the
+    structures that pass the degree constraints, then the colored classes
+    on each (``graphs._colored_classes``), dropping colorings with a
+    passing vertex under the no-passing constraint."""
     v, k, cons = params.v, params.k, params.constraints
-    kinds = ((params.e, False, False),)
-    multigraphs = _orbit_reps(v, kinds, Constraint.CONNECTED in cons, _min_valence(k, cons))
-    structures = [(edges, stab) for edges, stab in multigraphs if _admits_degrees(v, edges[0], cons)]
+    structures = ((edges, stab) for edges, stab in structures if _admits_degrees(v, edges[0], cons))
 
     def admit(edges):
         return Constraint.NO_PASSING not in cons or not has_passing_vertex(ColoredGraph(v, k, edges[0]))
 
-    reps = _colored_classes(v, k, structures, GRAPH_KINDS, params.parity, admit)
-    basis = sorted((ColoredGraph(v, k, records) for (records,) in reps), key=sort_key)
+    for (records,) in _colored_classes(v, k, structures, GRAPH_KINDS, params.parity, admit):
+        yield ColoredGraph(v, k, records)
+
+
+def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
+    """All canonical classes of the slice (``_classes`` on the cached
+    ``graphs._orbit_reps``), sorted; each class is found once, and Zero
+    classes never are."""
+    check_constraints(params.constraints)
+    check_bounds(params.v, params.e, params.k, force)
+    if params.v < 1 or params.e < 0:
+        raise ValueError("need v >= 1 and e >= 0")
+    basis = sorted(_classes(params, _orbit_reps(*_orbit_args(params))), key=sort_key)
     return BasisSlice(params, tuple(basis), params.degree)
 
 
@@ -324,6 +338,13 @@ def differential_in_slice(g: ColoredGraph, parity: Parity, constraints) -> TermV
     return vec.without(has_passing_vertex)
 
 
+_MISSING = "differential term missing from the target slice"
+
+
+def _image(params: SliceParams):
+    return lambda g: differential_in_slice(g, params.parity, params.constraints)
+
+
 def differential_matrix(src: BasisSlice, dst: BasisSlice) -> SparseRationalMatrix:
     """Matrix of the differential from src to dst (column j = image of
     basis element j).  A term missing from dst is a basis-closure bug and
@@ -331,12 +352,7 @@ def differential_matrix(src: BasisSlice, dst: BasisSlice) -> SparseRationalMatri
     sp, dp = src.params, dst.params
     if (dp.v, dp.e, dp.k, dp.n, dp.constraints) != (sp.v - 1, sp.e - 1, sp.k, sp.n, sp.constraints):
         raise ValueError("dst params must equal src params shifted by (v-1, e-1)")
-    return matrix_of(
-        lambda g: differential_in_slice(g, sp.parity, sp.constraints),
-        src.basis,
-        dst.basis,
-        "differential term missing from the target slice",
-    )
+    return matrix_of(_image(sp), src.basis, dst.basis, _MISSING)
 
 
 def slice_chain(b, k, n, constraints, v_max, force=False):
@@ -364,3 +380,39 @@ def homology_dims(chain):
             raise ValueError("chain slices must step down by one vertex and one edge")
     _, _, dims = homology({sl.params.v: sl for sl in chain}, differential_matrix)
     return [(sl.params.v, sl.degree, dims[sl.params.v]) for sl in chain]
+
+
+def homology_table(b, k, n, constraints, v_top, force=False):
+    """Rows (v, degree, dim) of the homology with loop number b for v =
+    v_top down to 1, equal to those of ``homology_dims(slice_chain(b, k,
+    n, constraints, v_top + 1))``, with the slice above v_top built only
+    as far as its rank needs.
+
+    As d^2 = 0, the rank of the differential out of that slice is at most
+    the kernel dimension at v_top, the v_top row of the chain below
+    (homology from ranks; Weibel 1994, section 1.5).  When that is 0
+    nothing above v_top is built; otherwise its orbit search
+    (``graphs._orbit_search``) passes on each structure as it finds it,
+    and the differential columns of the classes on it are ranked as they
+    come (``linalg.rank_until``) until the rank meets the bound.  Columns
+    never built are never checked for closure.  The slice's bounds are
+    checked first, as building it would.
+    """
+    top = SliceParams(v_top + 1, v_top + 1 + b, k, n, frozenset(constraints))
+    if top.e >= 0:
+        check_bounds(top.v, top.e, k, force)
+    chain = slice_chain(b, k, n, constraints, v_max=v_top, force=force)
+    rows = homology_dims(chain)
+    if rows and rows[0][0] == v_top:
+        v, degree, kernel = rows[0]
+        column = column_map(_image(top), chain[0].basis, _MISSING)
+
+        def search(emit):
+            def columns(structure):
+                for g in _classes(top, (structure,)):
+                    emit(column(g))
+
+            _orbit_search(*_orbit_args(top), columns)
+
+        rows[0] = (v, degree, kernel - rank_until(search, kernel))
+    return rows

@@ -41,18 +41,16 @@ block of positions (``_cell_perms``), not over all v! of them.  This is
 the refinement half of McKay & Piperno, "Practical graph isomorphism
 II", J. Symbolic Comput. 60 (2014), without individualization.  The
 bases of both complexes come from one enumerator, ``_colored_classes``,
-which colors the structures of the orbit generator ``_orbit_reps``.
+which colors the structures of the orbit search ``_orbit_search``.
 
 Each labeled graph is canonicalized once per process, as far as a small
 memo allows.  ``_canonical_form`` keeps the last ``CANON_MEMO_SIZE``
 (1,024) results in an ``lru_cache`` keyed on the vertex count, the
-records, the kinds and the parity.  On ``verify-props --n 1 --colors 1``
-about a quarter of its calls hit (4,487 of 16,867), and against no memo
-it adds about 0.8 MB (3%) of peak memory and saves about a tenth of the
-run (2.98 to 2.62 s, medians of five runs on 2 cores, Python 3.11); the
-bound keeps it that small.  A hit returns what the engine computes for
-the same four arguments, and each process keeps its own memo, so
-``--workers`` cannot change a row.
+records, the kinds and the parity; bounded, it adds about 0.8 MB of peak
+memory and saves about a tenth of a ``verify-props --n 1 --colors 1``
+run, where about a quarter of its calls hit.  A hit returns what the
+engine computes for the same four arguments, and each process keeps its
+own memo, so ``--workers`` cannot change a row.
 
 Most inputs refine to singleton cells.  ``_refine`` stops as soon as
 every cell is a singleton, and ``_cell_perms`` then yields the one
@@ -270,20 +268,19 @@ def _cell_perms(cells):
         yield tuple(perm), sign
 
 
-@lru_cache(maxsize=None)
-def _orbit_reps(v, kinds, connected=False, min_valence=0):
+def _orbit_search(v, kinds, connected, min_valence, emit):
     """Orbit representatives, with full signed stabilizers, of typed edge
     structures on v labeled vertices (orderly generation after McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).
 
     ``kinds`` lists ``(count, directed, loops)``: ``count`` arcs (t, h)
     forming an acyclic digraph, or pairs t < h plus loops (t, t) if
-    ``loops``.  Returns ``(edges, stab)``: one sorted tuple per kind and
-    the (vertex permutation, sign) pairs fixing it, as ``_cell_perms``
-    yields them.  Only structures that are connected, if ``connected``,
+    ``loops``.  Calls ``emit((edges, stab))`` as the search finds each:
+    one sorted tuple per kind and the (vertex permutation, sign) pairs
+    fixing it, as ``_cell_perms`` yields them; ``emit`` may raise to stop
+    the search.  Only structures that are connected, if ``connected``,
     and whose every vertex has valence at least ``min_valence`` are
-    returned; an arc or pair end counts once and a loop twice.  The one
-    cache of the generation layer: both bases reuse its structures.
+    emitted; an arc or pair end counts once and a loop twice.
 
     Only labelings whose vertex signatures ((out, in) per directed kind,
     (degree, loops) per undirected one) do not increase are built.  Edges
@@ -316,16 +313,16 @@ def _orbit_reps(v, kinds, connected=False, min_valence=0):
                         alphabet.append((kind, b, a, a, ((b, 2 * kind, 1), (a, 2 * kind + 1, 1))))
     last = {entry[0]: i for i, entry in enumerate(alphabet)}
     if any(count and kind not in last for kind, (count, _, _) in enumerate(kinds)):
-        return ()
+        return
     m = min_valence
     if m * v > 2 * sum(count for count, _, _ in kinds):
-        return ()
+        return
     rem = [count for count, _, _ in kinds]
     done = [0] * len(kinds)
     sig = [[0] * (2 * len(kinds)) for _ in range(v)]
     val = [0] * v  # valences; each bump says what its edge adds
     chosen = [[] for _ in kinds]
-    seen, reps = set(), []
+    seen = set()
 
     def image(p):
         return tuple(
@@ -350,7 +347,7 @@ def _orbit_reps(v, kinds, connected=False, min_valence=0):
             seen.add(moved)
             if moved == key:
                 stab.append((p, sign))
-        reps.append((key, tuple(stab)))
+        emit((key, tuple(stab)))
 
     def extend(i):
         # every kind's last entry takes all its remaining edges, so the
@@ -398,6 +395,13 @@ def _orbit_reps(v, kinds, connected=False, min_valence=0):
         rem[kind] = count
 
     extend(0)
+
+
+@lru_cache(maxsize=None)
+def _orbit_reps(v, kinds, connected=False, min_valence=0):
+    """The generation layer's one cache: ``_orbit_search``'s orbits."""
+    reps = []
+    _orbit_search(v, kinds, connected, min_valence, reps.append)
     return tuple(reps)
 
 
@@ -456,7 +460,7 @@ def _colorings(v, k, edges):
 
 def _colored_classes(v, k, structures, kinds, parity, admit):
     """Canonical forms of the non-Zero classes of k-colored graphs on the
-    given structures, one per class, in structure order.
+    given structures, one per class, yielded in structure order.
 
     ``structures`` yields ``(edges, stab)`` as ``_orbit_reps`` lists them:
     one sorted tuple of (t, h) pairs per kind in ``kinds`` and the signed
@@ -469,7 +473,6 @@ def _colored_classes(v, k, structures, kinds, parity, admit):
     with opposite signs (an odd automorphism).  The kept class's
     ``_canonical_form`` is stored, so the differential's terms find it.
     """
-    reps = []
     for edges, stab in structures:
         seen = set()
         for colored in _colorings(v, k, edges):
@@ -487,8 +490,7 @@ def _colored_classes(v, k, structures, kinds, parity, admit):
                 continue
             form = _canonical_form(v, colored, kinds, parity)
             assert form is not None, "stabilizer and refinement disagree on Zero"
-            reps.append(form[0])
-    return reps
+            yield form[0]
 
 
 def sort_key(g: ColoredGraph):

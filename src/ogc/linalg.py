@@ -3,10 +3,13 @@ products.
 
 All arithmetic is over ``fractions.Fraction``; no floating point enters
 any rank or homology computation.  One elimination loop, ``_eliminate``,
-serves the exact rank and the kernel basis; it takes the field's
-reciprocal and normalization as arguments, so the test suite's modular
-rank cross-check runs the same loop, and the exact elimination is always
-the authoritative answer.
+serves the exact rank, the rank up to a bound and the kernel basis; it
+takes the field's reciprocal and normalization as arguments, so the test
+suite's modular rank cross-check runs the same loop, and the exact
+elimination is always the authoritative answer.  The loop takes rows
+one at a time, so ``rank_until`` can stop the search that builds a map's
+columns once their rank meets a known bound, such as the d^2 = 0 bound
+of ``complexes.homology_table``.
 """
 
 from __future__ import annotations
@@ -63,49 +66,72 @@ class ClosureError(RuntimeError):
     the package, not a verdict on its input."""
 
 
-def matrix_of(image, src_basis, dst_basis, what) -> SparseRationalMatrix:
-    """Matrix of a linear map between two bases: column j holds the
-    coefficients of ``image(src_basis[j])``, a vector with a ``terms``
-    dict, in ``dst_basis``.  A term outside ``dst_basis`` is a closure bug:
-    ``ClosureError("<what>: <term>")`` is raised instead of dropping it."""
+def column_map(image, dst_basis, what):
+    """The function giving a linear map's column of a source element g:
+    the coefficients of ``image(g)``, a vector with a ``terms`` dict, as
+    a {row: coefficient} dict over ``dst_basis``.  A term outside
+    ``dst_basis`` is a closure bug: ``ClosureError("<what>: <term>")`` is
+    raised instead of dropping it."""
     index = {g: i for i, g in enumerate(dst_basis)}
-    m = SparseRationalMatrix(len(dst_basis), len(src_basis))
-    for j, g in enumerate(src_basis):
+
+    def column(g):
+        col = {}
         for rep, coeff in image(g).terms.items():
             i = index.get(rep)
             if i is None:
                 raise ClosureError(f"{what}: {rep}")
-            m.set(i, j, coeff)
+            col[i] = coeff
+        return col
+
+    return column
+
+
+def matrix_of(image, src_basis, dst_basis, what) -> SparseRationalMatrix:
+    """Matrix of a linear map between two bases: column j is
+    ``column_map``'s column of ``src_basis[j]``."""
+    column = column_map(image, dst_basis, what)
+    m = SparseRationalMatrix(len(dst_basis), len(src_basis))
+    for j, g in enumerate(src_basis):
+        m.data.update(((i, j), coeff) for i, coeff in column(g).items())
     return m
 
 
-def _eliminate(rows, inverse, reduce):
-    """Gaussian elimination of a list of sparse rows ({col: value} dicts,
-    none empty), pivots chosen to limit fill.  Yields each pivot row as it
-    is chosen; its least column is its pivot, and the rows chosen later
-    have no entry there, so the number of rows yielded is the rank.
-    ``inverse`` and ``reduce`` are the field's reciprocal and the
-    normalization applied to every computed entry."""
-    while rows:
-        pivot_row = min(rows, key=len)
-        rows.remove(pivot_row)
-        yield pivot_row
-        pc = min(pivot_row)
-        inv = inverse(pivot_row[pc])
-        reduced = []
-        for row in rows:
-            x = row.get(pc)
-            if x is not None:
-                factor = reduce(x * inv)
-                for c, v in pivot_row.items():
-                    nv = reduce(row.get(c, 0) - factor * v)
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            if row:
-                reduced.append(row)
-        rows = reduced
+def _eliminate(pivots, inverse, reduce):
+    """Gaussian elimination of sparse rows ({col: value} dicts) given one
+    at a time: returns ``add(row)``, which reduces the row in place by the
+    rows kept in ``pivots`` ({least column: (row, reciprocal of its entry
+    there)}), always at its least column, until that column has none.
+    There the row is kept and ``add`` returns True; a row reduced to
+    nothing returns False.  When the row meets a longer pivot row at its
+    least column, the two trade places: the shorter is kept, and the
+    longer is reduced on in its stead, which limits fill as choosing the
+    shortest pivot does.  Kept rows have distinct least columns, so they
+    are independent, span the rows added, and their number is the rank.
+    A caller holding all rows adds the shortest first.  ``inverse`` and
+    ``reduce`` are the field's reciprocal and the normalization applied
+    to every computed entry."""
+
+    def add(row):
+        while row:
+            pc = min(row)
+            pivot = pivots.get(pc)
+            if pivot is None:
+                pivots[pc] = row, inverse(row[pc])
+                return True
+            pivot_row, inv = pivot
+            if len(row) < len(pivot_row):
+                pivots[pc] = pivot = row, inverse(row[pc])
+                row, (pivot_row, inv) = pivot_row, pivot
+            factor = reduce(row[pc] * inv)
+            for c, v in pivot_row.items():
+                nv = reduce(row.get(c, 0) - factor * v)
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+        return False
+
+    return add
 
 
 # the rationals' reciprocal and entry normalization, for _eliminate
@@ -113,11 +139,37 @@ _EXACT = (lambda x: 1 / x, lambda x: x)
 
 
 def rank(m: SparseRationalMatrix) -> int:
-    """Exact rank over the rationals by sparse Gaussian elimination."""
+    """Exact rank over the rationals by sparse Gaussian elimination of the
+    rows, shortest first."""
     rows = {}
     for (r, c), v in m.data.items():
         rows.setdefault(r, {})[c] = v
-    return sum(1 for _ in _eliminate(list(rows.values()), *_EXACT))
+    return sum(map(_eliminate({}, *_EXACT), sorted(rows.values(), key=len)))
+
+
+class _BoundMet(Exception):
+    pass
+
+
+def rank_until(search, bound) -> int:
+    """min(rank, bound) of the sparse rows that ``search(emit)`` passes to
+    ``emit`` one at a time.  Each row is eliminated as it comes, and once
+    the rank meets ``bound`` ``emit`` raises to stop the search, so no
+    row after that one is built."""
+    add, found = _eliminate({}, *_EXACT), 0
+
+    def emit(row):
+        nonlocal found
+        found += add(row)
+        if found >= bound:
+            raise _BoundMet
+
+    if bound > 0:
+        try:
+            search(emit)
+        except _BoundMet:
+            pass
+    return found
 
 
 def homology(slices, matrix):
@@ -167,6 +219,10 @@ def kernel_basis(m: SparseRationalMatrix) -> SparseRationalMatrix:
     cols = [{m.rows + j: Fraction(1)} for j in range(m.cols)]
     for (r, c), v in m.data.items():
         cols[c][r] = v
-    kernel = [row for row in _eliminate(cols, *_EXACT) if min(row) >= m.rows]
+    pivots = {}
+    add = _eliminate(pivots, *_EXACT)
+    for col in sorted(cols, key=len):
+        add(col)
+    kernel = [row for pc, (row, _) in pivots.items() if pc >= m.rows]
     data = {(c - m.rows, j): v for j, row in enumerate(kernel) for c, v in row.items()}
     return SparseRationalMatrix(m.cols, len(kernel), data)

@@ -138,4 +138,4 @@ def rank_mod_p(m: SparseRationalMatrix, p: int = CHECK_PRIME) -> int:
         val = v.numerator * pow(v.denominator % p, p - 2, p) % p
         if val:
             rows.setdefault(r, {})[c] = val
-    return sum(1 for _ in _eliminate(list(rows.values()), lambda x: pow(x, p - 2, p), lambda x: x % p))
+    return sum(map(_eliminate({}, lambda x: pow(x, p - 2, p), lambda x: x % p), rows.values()))

@@ -345,3 +345,40 @@ def test_homology_table_script_prints_the_homology_rows(n, colors, loop_max, ver
         _, out, _ = run_cli(argv, capsys)
         expected += [(r["b"], r["v"], r["e"], r["degree"], r["value"]) for r in json.loads(out)["rows"]]
     assert table == sorted(expected)
+
+
+def test_homology_table_script_refuses_a_slice_over_the_bounds():
+    # the v = 8 row needs the v = 9 slice above it: one error line and
+    # exit 2, as `homology` gives, and no table
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "homology_table.py"
+    argv = ["--n", "0", "--colors", "1", "--loop-max", "1", "--vertices-max", "8"]
+    proc = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: slice (v=9, e=10, k=1) exceeds the default bounds")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_work_does_not_depend_on_the_hash_seed():
+    # constraint sets hash their members by name, so their iteration order
+    # follows the string-hash seed; the canonical-form memo's counts and
+    # the orbit generator's output show any work that followed it
+    import os
+
+    code = (
+        "from ogc.complexes import Constraint, homology_table\n"
+        "from ogc.graphs import _canonical_form, _orbit_reps\n"
+        "cons = {Constraint.CONNECTED, Constraint.MIN_VALENCE_2}\n"
+        "print(homology_table(1, 1, 1, cons, 5))\n"
+        "print(_canonical_form.cache_info())\n"
+        "print(_orbit_reps.cache_info(), _orbit_reps(5, ((6, False, False),), True, 2))\n"
+    )
+    outs = [
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")
+    ]
+    assert all(proc.returncode == 0 for proc in outs), [proc.stderr for proc in outs]
+    assert outs[0].stdout == outs[1].stdout

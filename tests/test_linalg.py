@@ -10,6 +10,7 @@ from ogc.linalg import (
     induced_rank,
     kernel_basis,
     rank,
+    rank_until,
 )
 from oracles import rank_mod_p
 
@@ -114,3 +115,25 @@ def test_induced_rank_hand_built(d_a, f, d_b, expected):
 def test_induced_rank_rejects_blocks_that_do_not_fit():
     with pytest.raises(ValueError):
         induced_rank(SparseRationalMatrix(0, 2), to_sparse([[1]]), SparseRationalMatrix(1, 0), 0, 0)
+
+
+def test_rank_until_matches_the_oracle_and_stops_the_search_at_the_bound():
+    rng = random.Random(17)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(nc)] for _ in range(nr)]
+        full = dense_rank(rows)
+        for bound in range(nr + 2):
+            built = []
+
+            def search(emit):
+                for i, row in enumerate(rows):
+                    built.append(i)
+                    emit({j: Fraction(x) for j, x in enumerate(row) if x})
+
+            assert rank_until(search, bound) == min(full, bound)
+            if bound > full:
+                assert len(built) == nr
+            else:
+                # the shortest prefix of that rank is built, and not a row more
+                assert len(built) == min(i for i in range(nr + 1) if dense_rank(rows[:i]) == bound)

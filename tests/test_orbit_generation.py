@@ -11,6 +11,9 @@ search, connectivity by search from vertex 0, all v! permutations) share
 no code with the generator.  Each stabilizer element's sign, which the
 generator multiplies together from its blocks, must also equal the
 parity of the whole permutation (``perm_parity``, by cycle lengths).
+The cached tuple holds what the search ``_orbit_search`` emits, in the
+order it emits it, and a search stopped by its ``emit`` has emitted a
+prefix of it.
 """
 
 import itertools
@@ -18,7 +21,7 @@ from math import comb, factorial
 
 import pytest
 
-from ogc.graphs import _orbit_reps, perm_parity
+from ogc.graphs import _orbit_reps, _orbit_search, perm_parity
 
 MULTIGRAPH_SLICES = [(v, e) for v in range(1, 6) for e in range(0, 9)]
 SKELETON_SHAPES = [(v, s, d) for v in range(1, 5) for s in range(0, 6) for d in range(0, 6 - s)]
@@ -120,3 +123,36 @@ def test_representatives_pairwise_non_isomorphic():
         perms = list(itertools.permutations(range(v)))
         forms = {min(image(p, rep, directed) for p in perms) for rep, _ in reps}
         assert len(forms) == len(reps), (v, directed)
+
+
+# the top slices that `homology` and `verify-props` search: the reduced
+# k = 0 (6, 9) slice of the `tables` benchmark (every vertex 3-valent),
+# and the connected k = 1 slices above verify-props' default table, at
+# least 0- and 2-valent
+SEARCHED_TOP_SLICES = [(6, ((9, False, False),), True, 3)] + [
+    (6, ((e, False, False),), True, m) for e in (5, 6, 7) for m in (0, 2)
+]
+
+
+class Stop(Exception):
+    pass
+
+
+def test_search_emits_the_cached_tuple_and_stops_when_emit_raises():
+    keys = [(v, ((e, False, False),), False, 0) for v, e in MULTIGRAPH_SLICES]
+    keys += [(v, ((s, True, False), (d, False, True)), True, 0) for v, s, d in SKELETON_SHAPES]
+    for key in keys + SEARCHED_TOP_SLICES:
+        found = []
+        _orbit_search(*key, found.append)
+        assert tuple(found) == _orbit_reps(*key), key
+        for stop_at in {min(1, len(found)), len(found) // 2, len(found)} - {0}:
+            prefix = []
+
+            def emit(rep):
+                prefix.append(rep)
+                if len(prefix) == stop_at:
+                    raise Stop
+
+            with pytest.raises(Stop):
+                _orbit_search(*key, emit)
+            assert prefix == found[:stop_at], key
