@@ -347,9 +347,12 @@ def homology_key_params(args):
 
 
 def is_record(cached):
-    """Whether a cached record has the shape ``main`` writes: a dict whose
-    ``rows`` are dicts carrying exactly the fields of ``Row``."""
-    rows = cached.get("rows") if isinstance(cached, dict) else None
+    """Whether a cached record has the shape ``main`` writes: a dict with
+    exactly the keys ``command``, ``params``, ``rows`` and ``timing``,
+    whose ``rows`` are dicts carrying exactly the fields of ``Row``."""
+    if not isinstance(cached, dict) or cached.keys() != {"command", "params", "rows", "timing"}:
+        return False
+    rows = cached["rows"]
     return isinstance(rows, list) and all(isinstance(row, dict) and row.keys() == set(Row._fields) for row in rows)
 
 

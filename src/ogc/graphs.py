@@ -167,28 +167,10 @@ class CanonicalClass(NamedTuple):
 ZERO = CanonicalClass(None, 0)
 
 
-def perm_parity(perm) -> int:
-    """Sign (+1/-1) of a permutation given as a sequence of images."""
-    perm = list(perm)
-    n = len(perm)
-    seen = [False] * n
-    sign = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _inversion_parity(items) -> int:
-    """Sign of the permutation sorting ``items`` (must be tie-free)."""
+def perm_parity(items) -> int:
+    """Sign (+1/-1) of the permutation sorting the tie-free ``items``, by
+    counting inversions; for a permutation given as a sequence of images
+    that is its own sign."""
     inv = 0
     n = len(items)
     for i in range(n):
@@ -593,7 +575,7 @@ def _normal_form(edges, kinds, parity, perms):
             if kind.labels_odd is parity:
                 if any(srt[i] == srt[i + 1] for i in range(len(srt) - 1)):
                     return None
-                sign *= _inversion_parity(recs)
+                sign *= perm_parity(recs)
             form.append(tuple(srt))
         # each kind has the same record count in every form, so the flat
         # list compares like the per-kind tuples of pair, then color data

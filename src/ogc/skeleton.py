@@ -188,47 +188,13 @@ def quotient_kills(sg, family, parity):
 # the differential
 
 
-def _merged_vertex_cases(k, new_solid, new_dotted, p):
-    """Classify the merged vertex p after a solid contraction.
-
-    Returns one of:
-      "keep"            valid vertex,
-      "drop"            projects to zero (fully passing, or a string
-                        interior involving a dotted edge),
-      ("rewrite", ...)  both incident edges solid and co-oriented in the
-                        last color: the pair is a length-2 string and
-                        its antisymmetric part is a new dotted edge.
-    """
-    incident = []
-    for idx, rec in enumerate(new_solid):
-        count = (rec[0] == p) + (rec[1] == p)
-        incident.extend([("s", idx, rec)] * count)
-    for idx, rec in enumerate(new_dotted):
-        count = (rec[0] == p) + (rec[1] == p)
-        incident.extend([("d", idx, rec)] * count)
-    if len(incident) != 2:
-        return "keep"
-    # base-color passing test at the 2-valent p
-    if not all(_passing_in_color(new_solid + new_dotted, p, c) for c in range(1, k + 1)):
-        return "keep"
-    if any(kind == "d" for kind, _, _ in incident):
-        return "drop"
-    (_, i1, r1), (_, i2, r2) = incident
-    into1 = r1[1] == p
-    into2 = r2[1] == p
-    if into1 != into2:
-        # head of one and tail of the other in the last color as well:
-        # a fully passing vertex, killed by the ambient quotient
-        return "drop"
-    return ("rewrite", i1, i2, into1)
-
-
 def contract_solid(sg: SkeletonGraph, j: int, parity: Parity) -> TermVector:
     """Contract the 0-based solid edge j, projecting the result back into
     the solid/dotted span.  Empty vector for terms that die."""
     S, D = sg.n_solid, sg.n_dotted
-    rec = sg.solid[j]
-    x, y = rec[0], rec[1]
+    if not (0 <= j < S):
+        raise ValueError(f"solid edge {j} out of range 0..{S - 1}")
+    x, y = sg.solid[j][:2]
     out = TermVector()
     sign = shift_sign(sg.v + D - 1 - y, VERTICES_ODD, parity) * shift_sign(S - 1 - j, SOLID.labels_odd, parity)
     lab = merge_labels(sg.v, x, y)
@@ -236,37 +202,39 @@ def contract_solid(sg: SkeletonGraph, j: int, parity: Parity) -> TermVector:
     new_dotted = relabel_records(sg.dotted, lab)
     v_new = sg.v - 1
     candidate = SkeletonGraph(v_new, sg.k, new_solid, new_dotted)
+    records = new_solid + new_dotted
     for c in range(1, sg.k + 1):
-        if not _color_acyclic(v_new, candidate.solid + candidate.dotted, c):
+        if not _color_acyclic(v_new, records, c):
             return out
     if not _sk_last_color_acyclic(candidate):
         return out
+    # the merged vertex p stays unless it is 2-valent and passing in every
+    # base color: then a dotted edge at p, or two solids that also pass p
+    # in the last color, project to zero, and two solids co-oriented at p
+    # form a length-2 string whose antisymmetric part is one dotted edge
     p = lab[y]
-    case = _merged_vertex_cases(sg.k, new_solid, new_dotted, p)
-    if case == "drop":
-        return out
-    if case == "keep":
+    ends = [i for i, rec in enumerate(records) for end in rec[:2] if end == p]
+    if len(ends) != 2 or not all(_passing_in_color(records, p, c) for c in range(1, sg.k + 1)):
         out.add_class(canonicalize_skeleton(candidate, parity), sign)
         return out
-    _, i1, i2, into = case
-    # length-2 string through p: replace the two solids by one dotted edge
+    i1, i2 = ends
+    if i2 >= len(new_solid):
+        return out
     r1, r2 = new_solid[i1], new_solid[i2]
-    u = r1[0] if r1[1] == p else r1[1]
-    w = r2[0] if r2[1] == p else r2[1]
-    if into:
-        row = r1[2:]
-        cfg_sign = 1
-    else:
-        row = tuple(-s for s in r1[2:])
-        cfg_sign = -1
+    into = r1[1] == p
+    if into != (r2[1] == p):
+        return out
     # p becomes the new middle vertex and the solids i1 < i2 its string
-    # edges, each moved to the last labels
-    sign *= cfg_sign * shift_sign(v_new + D - 1 - p, VERTICES_ODD, parity)
+    # edges, each moved to the last labels; the dotted arrow runs between
+    # their far ends, reversed with its colors when both leave p
+    far = 0 if into else 1
+    row = r1[2:] if into else tuple(-s for s in r1[2:])
+    sign *= (1 if into else -1) * shift_sign(v_new + D - 1 - p, VERTICES_ODD, parity)
     sign *= shift_sign(i1 + i2 + 1, SOLID.labels_odd, parity)
     closed = merge_labels(v_new, p, p)
     rest_solid = relabel_records(new_solid[:i2] + new_solid[i2 + 1 :], closed, i1)
     rest_dotted = relabel_records(new_dotted, closed)
-    new_rec = (closed[u], closed[w]) + row
+    new_rec = (closed[r1[far]], closed[r2[far]]) + row
     rewritten = SkeletonGraph(v_new - 1, sg.k, rest_solid, rest_dotted + (new_rec,))
     out.add_class(canonicalize_skeleton(rewritten, parity), sign)
     return out

@@ -7,14 +7,17 @@ edges become dotted with their intrinsic arrow kept, and all base
 colors survive unchanged.  The map raises the grading parameter by one,
 so all image-side signs live in the opposite parity.
 
-Labeling of the image (normative for signs): the root is relabeled 0 in
-the source first; image vertices take the source labels of the tree
-edge heading into them, middle vertices of dotted edges take the label
-of their source edge; solid edges take the source label of their head
-vertex, and the string-edge pairs are numbered consecutively afterwards
-with the lower number at the arrow tail.  Everything is multiplied by
-(-1)^(n*r) with r the number of tree edges oriented against their
-former intrinsic direction.
+Labeling of the image (normative for signs): the root takes name 0,
+every other skeleton vertex the label of the tree edge heading into it,
+and the middle vertex of each dotted edge the label of its source edge;
+solid edges take the source label of their head vertex, and the
+string-edge pairs are numbered consecutively afterwards with the lower
+number at the arrow tail.  The sign is the product of three shifts:
+(-1)^(n*x) for moving the root x to the front, (-1)^(n*r) with r the
+number of tree edges oriented against their former intrinsic direction,
+and, when image vertices are odd, a -1 for each non-tree label below a
+tree label: the swaps that bring the names into the
+skeleton-then-middles order of ``skeleton.expand_dotted``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .graphs import (
     VERTICES_ODD,
     _pairs_connected,
     is_connected,
-    perm_parity,
     relabel_records,
     shift_sign,
     valence,
@@ -74,12 +76,9 @@ def spanning_trees(g: ColoredGraph):
 
 
 class TreeImage(NamedTuple):
-    """One signed image term: root, tree, reversal count, and the
-    canonical class (its sign folds in every convention above)."""
+    """One signed image term: the reversal count and the canonical class
+    (its sign folds in every convention above)."""
 
-    source: ColoredGraph
-    root: int
-    tree: tuple
     reversals: int
     image: CanonicalClass
 
@@ -88,71 +87,53 @@ def tree_image(g: ColoredGraph, x: int, tree, n_parity: Parity) -> TreeImage:
     """The single-tree map for root x; image parity is the flip of the
     source parity."""
     tree = tuple(sorted(tree))
-    m_parity = n_parity.flipped
-    v, e, k = g.v, g.e, g.k
+    v = g.v
     if not (0 <= x < v):
         raise ValueError(f"root {x} out of range")
-    # source-side relabeling putting the root at 0 (cyclic shift)
-    shift = {y: (0 if y == x else y + 1 if y < x else y) for y in range(v)}
-    sign = shift_sign(x, VERTICES_ODD, n_parity)
-    records = relabel_records(g.records, shift)
-    # root the tree: parent[child] = (edge index, away_from_root_is_intrinsic)
-    adj = {y: [] for y in range(v)}
-    tree_set = set(tree)
-    for i in tree:
-        t, h = records[i][0], records[i][1]
-        adj[t].append((i, h))
-        adj[h].append((i, t))
     if len(tree) != v - 1:
         raise ValueError("tree must have v - 1 edges")
-    parent_edge = {}
-    order = [0]
-    seen = {0}
-    while order:
-        cur = order.pop()
-        for i, other in adj[cur]:
-            if other not in seen:
-                seen.add(other)
-                parent_edge[other] = (i, cur)
-                order.append(other)
-    if len(seen) != v:
-        raise ValueError("edges do not span the graph")
-    # image vertex names: 0 for the root, the incoming tree edge label
-    # for other skeleton vertices, the source edge label for middles
-    name = {0: 0}
+    # orient the tree away from x: each child gets its incoming tree edge
+    lab = [None] * v
+    lab[x] = 0
+    solid = []
     reversals = 0
-    solid_raw = []
-    for child, (i, par) in parent_edge.items():
-        name[child] = i + 1
-        rec = records[i]
-        if rec[0] == par:
-            cs = rec[2:]
-        else:
-            cs = tuple(-s for s in rec[2:])
-            reversals += 1
-        solid_raw.append((par, child) + cs)
-    sign *= shift_sign(reversals, GRAPH_KINDS[0].reversal_odd, n_parity)
-    non_tree = [i for i in range(e) if i not in tree_set]
-    skeleton_names = sorted(name[y] for y in range(v))
-    rank_of = {nm: i for i, nm in enumerate(skeleton_names)}
-    my_index = {y: rank_of[name[y]] for y in range(v)}
-    # the name-order interleaves skeleton and middle labels; bringing it
-    # to the skeleton-then-middles layout costs a sign in the image
-    # parity where vertices are odd
-    middle_names = [i + 1 for i in non_tree]
-    layout = skeleton_names + middle_names
-    position = {nm: i for i, nm in enumerate(layout)}
-    rho = [position[nm] for nm in range(e + 1)]
-    if m_parity is Parity.ODD and perm_parity(rho) < 0:
-        sign = -sign
-    # solid records in the order of their heads' source labels
-    solid_records = relabel_records(sorted(solid_raw, key=lambda r: r[1]), my_index)
-    dotted_records = relabel_records([records[i] for i in non_tree], my_index)
-    sk = SkeletonGraph(v, k, solid_records, dotted_records)
-    cls = canonicalize_skeleton(sk, m_parity)
+    frontier = [x]
+    while frontier:
+        par = frontier.pop()
+        for pos, i in enumerate(tree):
+            rec = g.records[i]
+            if par not in rec[:2]:
+                continue
+            child = rec[1] if rec[0] == par else rec[0]
+            if lab[child] is not None:
+                continue
+            lab[child] = pos + 1
+            if rec[0] == par:
+                solid.append(rec)
+            else:
+                solid.append((par, child) + tuple(-s for s in rec[2:]))
+                reversals += 1
+            frontier.append(child)
+    if None in lab:
+        raise ValueError("edges do not span the graph")
+    # moving the root to label 0, the reversals, and the crossings of tree
+    # edge labels over the lower non-tree labels that become middles
+    sign = (
+        shift_sign(x, VERTICES_ODD, n_parity)
+        * shift_sign(reversals, GRAPH_KINDS[0].reversal_odd, n_parity)
+        * shift_sign(sum(i - pos for pos, i in enumerate(tree)), VERTICES_ODD, n_parity.flipped)
+    )
+    tree_set = set(tree)
+    sk = SkeletonGraph(
+        v,
+        g.k,
+        relabel_records(sorted(solid, key=lambda r: r[1]), lab),
+        relabel_records([r for i, r in enumerate(g.records) if i not in tree_set], lab),
+    )
+    cls = canonicalize_skeleton(sk, n_parity.flipped)
     if not cls.is_zero:
         cls = CanonicalClass(cls.rep, cls.sign * sign)
-    return TreeImage(g, x, tree, reversals, cls)
+    return TreeImage(reversals, cls)
 
 
 def spanning_tree_map(g: ColoredGraph, n_parity: Parity, project=True) -> TermVector:
@@ -181,7 +162,6 @@ def spanning_tree_map(g: ColoredGraph, n_parity: Parity, project=True) -> TermVe
 
 
 class ChainMapReport(NamedTuple):
-    graph: ColoredGraph
     native_equal: bool
     expanded_equal: bool
     projection_vacuous: bool
@@ -193,32 +173,23 @@ class ChainMapReport(NamedTuple):
         return self.native_equal and self.expanded_equal
 
 
-def verify_chain_map(g: ColoredGraph, n_parity: Parity, expanded=True) -> ChainMapReport:
+def verify_chain_map(g: ColoredGraph, n_parity: Parity) -> ChainMapReport:
     """Check that mapping then differentiating equals differentiating
-    then mapping, natively and (optionally) through the expansion.
-
-    The expanded comparison canonicalizes graphs on e + 1 vertices, so
-    it is worth skipping on larger inputs once the native path is
-    trusted."""
+    then mapping, natively and through the expansion."""
     m_parity = n_parity.flipped
     hvec = spanning_tree_map(g, n_parity, project=False)
     lhs = hvec.mapped(lambda rep: skeleton_differential(rep, m_parity))
     rhs = differential_in_slice(g, n_parity, REDUCED_CONSTRAINTS).mapped(
         lambda rep: spanning_tree_map(rep, n_parity, project=False)
     )
-    native_equal = lhs == rhs
-    expanded_equal = native_equal
-    if expanded:
-        def expand(rep):
-            return expand_dotted(rep, m_parity)
 
-        expanded_equal = lhs.mapped(expand) == rhs.mapped(expand)
-    vacuous = not any(quotient_kills(rep, SkeletonFamily.SIMPLE, m_parity) for rep in hvec.terms)
+    def expand(rep):
+        return expand_dotted(rep, m_parity)
+
     return ChainMapReport(
-        graph=g,
-        native_equal=native_equal,
-        expanded_equal=expanded_equal,
-        projection_vacuous=vacuous,
+        native_equal=lhs == rhs,
+        expanded_equal=lhs.mapped(expand) == rhs.mapped(expand),
+        projection_vacuous=not any(quotient_kills(rep, SkeletonFamily.SIMPLE, m_parity) for rep in hvec.terms),
         lhs_terms=len(lhs),
         rhs_terms=len(rhs),
     )

@@ -73,8 +73,18 @@ ROW = {"v": 1, "e": 2, "b": 1, "degree": 0, "value": 0}
         ({"command": "homology", "params": {}, "rows": [{"v": 1, "e": 2}], "timing": 0}, "csv"),
         ({"command": "homology", "params": {}, "rows": [dict(ROW, extra=1)], "timing": 0}, "json"),
         ({"command": "homology", "params": {}, "rows": [ROW, "stale"], "timing": 0}, "csv"),
+        ({"rows": [ROW]}, "json"),
+        ({"command": "homology", "params": {}, "rows": [ROW], "timing": 0, "extra": 1}, "json"),
     ],
-    ids=["not-a-dict", "rows-not-a-list", "row-missing-fields", "row-extra-field", "row-not-a-dict"],
+    ids=[
+        "not-a-dict",
+        "rows-not-a-list",
+        "row-missing-fields",
+        "row-extra-field",
+        "row-not-a-dict",
+        "record-missing-keys",
+        "record-extra-key",
+    ],
 )
 def test_malformed_record_is_reported_and_recomputed(record, output, capsys, tmp_path):
     argv = HOMOLOGY + ["--cache-dir", str(tmp_path), "--output", output]

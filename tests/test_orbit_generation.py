@@ -10,7 +10,7 @@ pairwise non-isomorphic.  The oracles here (acyclicity by depth-first
 search, connectivity by search from vertex 0, all v! permutations) share
 no code with the generator.  Each stabilizer element's sign, which the
 generator multiplies together from its blocks, must also equal the
-parity of the whole permutation (``perm_parity``, by cycle lengths).
+parity of the whole permutation (``perm_parity``, by inversions).
 The cached tuple holds what the search ``_orbit_search`` emits, in the
 order it emits it, and a search stopped by its ``emit`` has emitted a
 prefix of it.

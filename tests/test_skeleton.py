@@ -254,6 +254,14 @@ class TestDottedDifferential:
                 assert local.is_zero()
 
 
+class TestContractSolid:
+    def test_index_out_of_range_rejected(self):
+        # as contract_edge rejects an edge label outside 1..e
+        for j in (-1, SOLID_PLUS_TWO_DOTTED.n_solid):
+            with pytest.raises(ValueError, match="out of range"):
+                contract_solid(SOLID_PLUS_TWO_DOTTED, j, EVEN)
+
+
 def expanded_differential(vec: TermVector, parity) -> TermVector:
     """Differential of an expanded vector inside the ambient no-passing
     quotient of the full complex."""

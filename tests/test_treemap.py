@@ -267,7 +267,7 @@ class TestChainMap:
                 reduced = differential_in_slice(g, parity, REDUCED_CONSTRAINTS)
                 if len(full) != len(reduced):
                     drops += 1
-                report = verify_chain_map(g, parity, expanded=(v, e) == (4, 5))
+                report = verify_chain_map(g, parity)
                 assert report.native_equal, f"chain map fails on {g}"
                 assert report.expanded_equal
         if n == 1:
