@@ -225,8 +225,9 @@ def contract_solid(sg: SkeletonGraph, j: int, parity: Parity) -> TermVector:
     if into != (r2[1] == p):
         return out
     # p becomes the new middle vertex and the solids i1 < i2 its string
-    # edges, each moved to the last labels; the dotted arrow runs between
-    # their far ends, reversed with its colors when both leave p
+    # edges, each moved to the last labels; the dotted arrow runs from
+    # i1's far end to i2's and takes i1's colors oriented into p, with a
+    # -1 when both solids leave p
     far = 0 if into else 1
     row = r1[2:] if into else tuple(-s for s in r1[2:])
     sign *= (1 if into else -1) * shift_sign(v_new + D - 1 - p, VERTICES_ODD, parity)

@@ -90,9 +90,10 @@ def tree_image(g: ColoredGraph, x: int, tree, n_parity: Parity) -> TreeImage:
     v = g.v
     if not (0 <= x < v):
         raise ValueError(f"root {x} out of range")
-    if len(tree) != v - 1:
-        raise ValueError("tree must have v - 1 edges")
-    # orient the tree away from x: each child gets its incoming tree edge
+    if len(tree) != v - 1 or not all(0 <= i < g.e for i in tree):
+        raise ValueError(f"tree must be v - 1 edge indices in 0..{g.e - 1}")
+    # orient the tree away from x; each other vertex is named by the rank
+    # of its incoming tree edge, which orders as that edge's label does
     lab = [None] * v
     lab[x] = 0
     solid = []

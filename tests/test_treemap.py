@@ -158,6 +158,14 @@ class TestTreeImage:
                     assert rep.n_dotted == g.e - g.v + 1
                     assert is_valid_special(rep)
 
+    def test_tree_outside_the_edges_rejected(self):
+        g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
+        for tree in [(0,), (-1, 0), (0, 3)]:
+            with pytest.raises(ValueError, match="edge indices"):
+                tree_image(g, 0, tree, EVEN)
+        with pytest.raises(ValueError, match="span"):
+            tree_image(g, 0, (0, 0), EVEN)
+
     def test_prefactor_zero_reversals(self):
         # a path oriented away from the root keeps every tree edge
         g = make_graph(3, [(0, 1), (1, 2), (0, 1), (1, 2)])
