@@ -37,6 +37,7 @@ RUNS = [
     ("quasi-isomorphism (even)", ["--command", "verify-thm1", "--n", "0"]),
     ("quasi-isomorphism (odd)", ["--command", "verify-thm1", "--n", "1"]),
     ("subcomplex properties (even)", ["--command", "verify-props", "--n", "0", "--colors", "0"]),
+    ("subcomplex properties (even, one color)", ["--command", "verify-props", "--n", "0", "--colors", "1"]),
     ("subcomplex properties (odd)", ["--command", "verify-props", "--n", "1", "--colors", "1"]),
     ("basis sizes (connected, even)", ["--command", "enumerate", "--n", "0", "--colors", "1",
                                        "--vertices-max", "5", "--edges-max", "7",
