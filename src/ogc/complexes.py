@@ -48,6 +48,8 @@ Homology tables.  Since d^2 = 0, the rank of the differential out of the
 slice above a table is at most the kernel dimension at the table's top,
 so ``homology_table`` builds that slice only until the bound is met; the
 columns it never builds are checked for closure only by ``verify-dsq``.
+It ranks each class's column from a labeled coloring, which gives the
+representative's column up to sign, and canonicalizes no class there.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .graphs import (
     TermVector,
     GRAPH_KINDS,
     VERTICES_ODD,
+    ZERO,
     _colored_classes,
     _orbit_reps,
     _orbit_search,
@@ -186,10 +189,10 @@ def _orbit_args(params: SliceParams):
 
 def _classes(params: SliceParams, structures):
     """The classes of a slice on the given orbit structures of its
-    underlying multigraph, in their order, each as it is found: the
-    structures that pass the degree constraints, then the colored classes
-    on each (``graphs._colored_classes``), dropping colorings with a
-    passing vertex under the no-passing constraint."""
+    underlying multigraph, in their order, each as a labeled coloring as
+    it is found: the structures that pass the degree constraints, then
+    the colored classes on each (``graphs._colored_classes``), dropping
+    colorings with a passing vertex under the no-passing constraint."""
     v, k, cons = params.v, params.k, params.constraints
     structures = ((edges, stab) for edges, stab in structures if _admits_degrees(v, edges[0], cons))
 
@@ -202,13 +205,15 @@ def _classes(params: SliceParams, structures):
 
 def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
     """All canonical classes of the slice (``_classes`` on the cached
-    ``graphs._orbit_reps``), sorted; each class is found once, and Zero
-    classes never are."""
+    ``graphs._orbit_reps``, canonicalized), sorted; each class is found
+    once, and Zero classes never are."""
     check_constraints(params.constraints)
     check_bounds(params.v, params.e, params.k, force)
     if params.v < 1 or params.e < 0:
         raise ValueError("need v >= 1 and e >= 0")
-    basis = sorted(_classes(params, _orbit_reps(*_orbit_args(params))), key=sort_key)
+    classes = [canonicalize(g, params.parity) for g in _classes(params, _orbit_reps(*_orbit_args(params)))]
+    assert ZERO not in classes, "stabilizer and refinement disagree on Zero"
+    basis = sorted((cls.rep for cls in classes), key=sort_key)
     return BasisSlice(params, tuple(basis), params.degree)
 
 
@@ -393,10 +398,11 @@ def homology_table(b, k, n, constraints, v_top, force=False):
     (homology from ranks; Weibel 1994, section 1.5).  When that is 0
     nothing above v_top is built; otherwise its orbit search
     (``graphs._orbit_search``) passes on each structure as it finds it,
-    and the differential columns of the classes on it are ranked as they
-    come (``linalg.rank_until``) until the rank meets the bound.  Columns
-    never built are never checked for closure.  The slice's bounds are
-    checked first, as building it would.
+    and the differential columns of the classes on it, each from a labeled
+    coloring (``_classes``), are ranked as they come
+    (``linalg.rank_until``) until the rank meets the bound.  Columns never
+    built are never checked for closure.  The slice's bounds are checked
+    first, as building it would.
     """
     top = SliceParams(v_top + 1, v_top + 1 + b, k, n, frozenset(constraints))
     if top.e >= 0:

@@ -43,19 +43,19 @@ II", J. Symbolic Comput. 60 (2014), without individualization.  The
 bases of both complexes come from one enumerator, ``_colored_classes``,
 which colors the structures of the orbit search ``_orbit_search``.
 
+Most inputs refine to singleton cells: 5,717 of the 6,258 the engine
+computes in a ``verify-props --n 1 --colors 1`` run.  ``_refine`` stops
+as soon as every cell is a singleton, and ``_canonical_form`` then
+applies the one relabeling through ``_relabeled_form``, the routine
+that gives ``_normal_form`` the form of each permutation.
+
 Each labeled graph is canonicalized once per process, as far as a small
 memo allows.  ``_canonical_form`` keeps the last ``CANON_MEMO_SIZE``
 (1,024) results in an ``lru_cache`` keyed on the vertex count, the
 records, the kinds and the parity; bounded, it adds about 0.8 MB of peak
-memory and saves about a tenth of a ``verify-props --n 1 --colors 1``
-run, where about a quarter of its calls hit.  A hit returns what the
-engine computes for the same four arguments, and each process keeps its
-own memo, so ``--workers`` cannot change a row.
-
-Most inputs refine to singleton cells.  ``_refine`` stops as soon as
-every cell is a singleton, and ``_cell_perms`` then yields the one
-relabeling without its per-block product, so ``_normal_form`` applies
-the same sign rules to a single permutation.
+memory, and 4,335 of the 10,593 calls in that run hit.  A hit returns
+what the engine computes for the same four arguments, and each process
+keeps its own memo, so ``--workers`` cannot change a row.
 """
 
 from __future__ import annotations
@@ -197,25 +197,24 @@ def _refine(v, nbrs):
     on vertex labels, so a relabeled graph gets the relabeled cells in the
     same order.  Returns the cells as lists, in class order.
 
+    A round's cells come from a stable sort of the vertices by signature.
     Refinement stops once every cell is a singleton: a round ranks the
     signatures by the old class first, so it would give back the same
     cells in the same order.
     """
     classes = [0] * v
-    count = 1 if v else 0
-    while count < v:
-        sigs = [
-            (classes[x], tuple(sorted([(classes[y], tag, d) for y, tag, d in nbrs[x]])))
-            for x in range(v)
-        ]
-        rank_of = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        classes = [rank_of[s] for s in sigs]
-        if len(rank_of) == count:
+    cells = [list(range(v))] if v else []
+    while len(cells) < v:
+        sigs = [(classes[x], sorted([(classes[y], tag, d) for y, tag, d in ends])) for x, ends in enumerate(nbrs)]
+        count, cells, prev = len(cells), [], None
+        for x in sorted(range(v), key=sigs.__getitem__):
+            if sigs[x] != prev:
+                prev, cell = sigs[x], []
+                cells.append(cell)
+            cell.append(x)
+            classes[x] = len(cells) - 1
+        if len(cells) == count:
             break
-        count = len(rank_of)
-    cells = [[] for _ in range(count)]
-    for x in range(v):
-        cells[classes[x]].append(x)
     return cells
 
 
@@ -441,8 +440,8 @@ def _colorings(v, k, edges):
 
 
 def _colored_classes(v, k, structures, kinds, parity, admit):
-    """Canonical forms of the non-Zero classes of k-colored graphs on the
-    given structures, one per class, yielded in structure order.
+    """One labeled coloring (one sorted record tuple per kind) per non-Zero
+    class of k-colored graphs on the given structures, in their order.
 
     ``structures`` yields ``(edges, stab)`` as ``_orbit_reps`` lists them:
     one sorted tuple of (t, h) pairs per kind in ``kinds`` and the signed
@@ -450,29 +449,35 @@ def _colored_classes(v, k, structures, kinds, parity, admit):
     of the stabilizer, its full automorphism group, so each orbit is swept
     once, from the first of its colorings that ``admit`` accepts (admission
     is a class property): every image under the stabilizer is marked
-    seen, and the class is kept unless it is Zero, that is unless a
-    tadpole or repeated records make every image Zero or two images agree
-    with opposite signs (an odd automorphism).  The kept class's
-    ``_canonical_form`` is stored, so the differential's terms find it.
+    seen, and that coloring is yielded unless the class is Zero, that is
+    unless a tadpole or repeated records make every image Zero or two
+    images agree with opposite signs (an odd automorphism).  Under a
+    one-permutation stabilizer each coloring is its own class, and its one
+    relabeling is the Zero test.  A coloring is its class's canonical form
+    up to sign: callers canonicalize what they store.
     """
     for edges, stab in structures:
+        colorings = _colorings(v, k, edges)
+        if len(stab) == 1:
+            ((perm, sign),) = stab
+            for colored in colorings:
+                if admit(colored) and _relabeled_form(colored, kinds, parity, perm, sign) is not None:
+                    yield colored
+            continue
         seen = set()
-        for colored in _colorings(v, k, edges):
+        for colored in colorings:
             if colored in seen or not admit(colored):
                 continue
             signs, zero = {}, False
-            for ps in stab:
-                out = _normal_form(colored, kinds, parity, (ps,))
+            for perm, sign in stab:
+                out = _relabeled_form(colored, kinds, parity, perm, sign)
                 if out is None:
                     zero = True
                     break
                 zero |= signs.setdefault(out[0], out[1]) != out[1]
             seen.update(signs)
-            if zero:
-                continue
-            form = _canonical_form(v, colored, kinds, parity)
-            assert form is not None, "stabilizer and refinement disagree on Zero"
-            yield form[0]
+            if not zero:
+                yield colored
 
 
 def sort_key(g: ColoredGraph):
@@ -533,55 +538,63 @@ def _edge_ends(v, edges, kinds):
     return nbrs
 
 
-def _normal_form(edges, kinds, parity, perms):
-    """Minimal normalized form with sign over the given vertex perms, or
-    None when an odd automorphism kills the class.
+def _relabeled_form(edges, kinds, parity, perm, sign):
+    """Normalized form and sign of the vertex relabeling ``perm`` of sign
+    ``sign``, or None when it shows an odd automorphism: an odd tadpole
+    reversal that fixes its signs, or two equal records of a kind whose
+    label swaps are odd.  ``edges`` holds one tuple of flat records per
+    kind in ``kinds``.  Reversible edges turn so that tail < head (a
+    tadpole takes the smaller of its two sign rows) and each kind's
+    records are sorted, under the sign rules of the parity (a vertex
+    relabeling is odd for odd parity, the kinds say the rest).
+    """
+    if parity is not VERTICES_ODD:
+        sign = 1
+    form = []
+    for records, kind in zip(edges, kinds):
+        reversible, reversal_odd = kind.reversible, kind.reversal_odd is parity
+        recs = []
+        for rec in records:
+            t, h, cs = perm[rec[0]], perm[rec[1]], rec[2:]
+            if reversible and t >= h:
+                neg = tuple([-s for s in cs])
+                if t > h or neg < cs:
+                    t, h, cs = h, t, neg
+                    if reversal_odd:
+                        sign = -sign
+                elif neg == cs and reversal_odd:
+                    # reversing the tadpole is an odd automorphism
+                    return None
+            recs.append((t, h) + cs)
+        if kind.labels_odd is parity:
+            if len(set(recs)) < len(recs):
+                return None
+            sign *= perm_parity(recs)
+        form.append(tuple(sorted(recs)))
+    return tuple(form), sign
 
-    ``edges`` holds one tuple of flat records per kind in ``kinds``.  Each
-    relabeling reverses the reversible edges so that tail < head (a
-    tadpole takes the smaller of its two sign rows) and sorts each kind's
-    records, folding in the sign rules of the parity (a vertex relabeling
-    is odd for odd parity, the kinds say the rest); forms compare by the
-    pair data of every kind before any color data.  ``perms`` is an
+
+def _normal_form(edges, kinds, parity, perms):
+    """Minimal ``_relabeled_form`` with sign over the given vertex perms,
+    or None when an odd automorphism kills the class.  Forms compare by
+    the pair data of every kind before any color data.  ``perms`` is an
     iterable of (vertex permutation, permutation sign) pairs closed under
     composing with the graph's automorphisms: the refinement-respecting
-    permutations (canonical forms), the full stabilizer of a sorted
-    underlying structure (the basis enumerators' test, where every image
-    has the structure's pair data), or all of S_v (the exhaustive
+    permutations (canonical forms) or all of S_v (the exhaustive
     reference).
     """
-    vertices_odd = parity is VERTICES_ODD
     best = best_key = None
     best_sign = 0
     for perm, psign in perms:
-        sign = psign if vertices_odd else 1
-        form = []
-        for records, kind in zip(edges, kinds):
-            reversible, reversal_odd = kind.reversible, kind.reversal_odd is parity
-            recs = []
-            for rec in records:
-                t, h, cs = perm[rec[0]], perm[rec[1]], rec[2:]
-                if reversible and t >= h:
-                    neg = tuple(-s for s in cs)
-                    if t > h or neg < cs:
-                        t, h, cs = h, t, neg
-                        if reversal_odd:
-                            sign = -sign
-                    elif neg == cs and reversal_odd:
-                        # reversing the tadpole is an odd automorphism
-                        return None
-                recs.append((t, h) + cs)
-            srt = sorted(recs)
-            if kind.labels_odd is parity:
-                if any(srt[i] == srt[i + 1] for i in range(len(srt) - 1)):
-                    return None
-                sign *= perm_parity(recs)
-            form.append(tuple(srt))
+        out = _relabeled_form(edges, kinds, parity, perm, psign)
+        if out is None:
+            return None
+        form, sign = out
         # each kind has the same record count in every form, so the flat
         # list compares like the per-kind tuples of pair, then color data
         key = [r[:2] for rs in form for r in rs] + [r[2:] for rs in form for r in rs]
         if best_key is None or key < best_key:
-            best, best_key, best_sign = tuple(form), key, sign
+            best, best_key, best_sign = form, key, sign
         elif key == best_key and sign != best_sign:
             return None
     return best, best_sign
@@ -618,10 +631,19 @@ CANON_MEMO_SIZE = 1 << 10
 @lru_cache(maxsize=CANON_MEMO_SIZE)
 def _canonical_form(v, edges, kinds, parity):
     """Canonical (form, sign) of a typed-edge graph, or None for Zero: the
-    kernel over the relabelings that respect the refined cells.  Memoized
-    on all four arguments (see the module docstring)."""
+    kernel over the relabelings that respect the refined cells, or the
+    one relabeling when the cells are singletons.  Memoized on all four
+    arguments (see the module docstring)."""
     cells = _refine(v, _edge_ends(v, edges, kinds))
-    return _normal_form(edges, kinds, parity, _cell_perms(cells))
+    if len(cells) < v:
+        return _normal_form(edges, kinds, parity, _cell_perms(cells))
+    # the one relabeling sends cell i's vertex to i; base, its inverse,
+    # has its sign
+    base = [x for x, in cells]
+    perm = [0] * v
+    for i, x in enumerate(base):
+        perm[x] = i
+    return _relabeled_form(edges, kinds, parity, perm, perm_parity(base))
 
 
 def canonicalize(g: ColoredGraph, parity: Parity) -> CanonicalClass:

@@ -359,8 +359,10 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     def admit(edges):
         return _family_admits(SkeletonGraph(v, k, *edges), params.family, parity)
 
-    reps = _colored_classes(v, k, structures, SKELETON_KINDS, parity, admit)
-    return tuple(sorted((SkeletonGraph(v, k, solid, dotted) for solid, dotted in reps), key=sk_sort_key))
+    classes = [canonicalize_skeleton(SkeletonGraph(v, k, *edges), parity)
+               for edges in _colored_classes(v, k, structures, SKELETON_KINDS, parity, admit)]
+    assert ZERO not in classes, "stabilizer and refinement disagree on Zero"
+    return tuple(sorted((cls.rep for cls in classes), key=sk_sort_key))
 
 
 class SkeletonDegreeSlice:

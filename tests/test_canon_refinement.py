@@ -23,6 +23,7 @@ from ogc.graphs import (
     _normal_form,
     _perms_with_signs,
     _refine,
+    _relabeled_form,
     act,
     canonicalize,
     make_graph,
@@ -368,3 +369,62 @@ def test_refine_matches_fixpoint_refinement():
         discrete += len(cells) == v
         coarse += len(cells) < v
     assert discrete and coarse
+
+
+# ---------------------------------------------------------------------------
+# the discrete path: one relabeling for singleton cells
+
+
+def random_skeleton(rng, v, k):
+    """Random solid arcs and dotted edges, dotted tadpoles and parallel
+    edges of both kinds allowed, as the engine takes them."""
+    solid = [tuple(rng.sample(range(v), 2)) + random_signs(rng, k) for _ in range(rng.randint(0, 5))] if v > 1 else []
+    dotted = [(rng.randrange(v), rng.randrange(v)) + random_signs(rng, k) for _ in range(rng.randint(not solid, 4))]
+    return SkeletonGraph(v, k, tuple(solid), tuple(dotted))
+
+
+@lru_cache(maxsize=None)
+def discrete_sweep_inputs():
+    """``engine_inputs()`` and a seeded random sweep of graphs and
+    skeletons with v <= 7 and k <= 2, as (v, edges, kinds)."""
+    rng = random.Random(2310)
+    inputs = engine_inputs()
+    for _ in range(300):
+        v, k = rng.randint(2, 7), rng.randint(0, 2)
+        g = random_admissible_graph(rng, v, rng.randint(v - 1, v + 3), k)
+        sg = random_skeleton(rng, rng.randint(1, 7), k)
+        inputs += [(g.v, (g.records,), GRAPH_KINDS), (sg.v, (sg.solid, sg.dotted), SKELETON_KINDS)]
+    return list(dict.fromkeys(inputs))
+
+
+def test_discrete_path_equals_the_cell_perms_kernel():
+    """Where refinement ends in singleton cells, the engine's one
+    relabeling gives what ``_normal_form`` gives over ``_cell_perms``,
+    and for v <= 5 the same classes, Zero verdicts and signs up to one
+    factor per class as the exhaustive S_v sweep."""
+    discrete, zeros, small = 0, 0, []
+    for v, edges, kinds in discrete_sweep_inputs():
+        cells = _refine(v, _edge_ends(v, edges, kinds))
+        if len(cells) < v:
+            continue
+        for parity in (EVEN, ODD):
+            out = _canonical_form.__wrapped__(v, edges, kinds, parity)
+            assert out == _normal_form(edges, kinds, parity, _cell_perms(cells)), (v, edges, parity)
+            discrete += 1
+            zeros += out is None
+            if v <= 5:
+                small.append((v, parity, out, _normal_form(edges, kinds, parity, _perms_with_signs(v))))
+    assert discrete >= 1000 and zeros
+    assert_matches_exhaustive(small)
+
+
+def test_relabeled_form_is_the_one_permutation_kernel():
+    rng = random.Random(2311)
+    zeros = 0
+    for v, edges, kinds in discrete_sweep_inputs()[::3]:
+        perm = tuple(rng.sample(range(v), v))
+        for parity in (EVEN, ODD):
+            out = _relabeled_form(edges, kinds, parity, perm, perm_parity(perm))
+            assert out == _normal_form(edges, kinds, parity, ((perm, perm_parity(perm)),))
+            zeros += out is None
+    assert zeros

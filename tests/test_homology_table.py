@@ -10,9 +10,18 @@ the kernel, and a search that never meets it and builds every class.
 
 import pytest
 
-from ogc import complexes
-from ogc.complexes import Constraint, REDUCED_CONSTRAINTS, homology_dims, homology_table, slice_chain
-from ogc.linalg import ClosureError
+from ogc import complexes, graphs
+from ogc.complexes import (
+    Constraint,
+    REDUCED_CONSTRAINTS,
+    SliceParams,
+    enumerate_basis,
+    homology_dims,
+    homology_table,
+    slice_chain,
+)
+from ogc.graphs import Parity, _orbit_reps, canonicalize
+from ogc.linalg import ClosureError, column_map
 
 CONNECTED = frozenset({Constraint.CONNECTED})
 MIN2 = CONNECTED | {Constraint.MIN_VALENCE_2}
@@ -99,3 +108,37 @@ def test_searched_columns_are_closure_checked(monkeypatch):
     monkeypatch.setattr(complexes, "homology_dims", lambda chain: [(5, 4, 3)] + homology_dims(chain[1:]))
     with pytest.raises(ClosureError, match="differential term missing from the target slice: "):
         homology_table(3, 0, 1, REDUCED_CONSTRAINTS, 5)
+
+
+def test_top_search_ranks_labeled_columns(monkeypatch, top_search):
+    """The top search ranks each class's column as its first admitted
+    labeled coloring gives it, never canonicalizing that coloring: the
+    column is the representative's up to sign, so the rank is the same.
+    On the k = 1 ``connected`` slices at b = 0, n = 1."""
+    n, k = 1, 1
+    parity = Parity.from_n(n)
+    moved = nonzero = 0
+    for v_top in range(2, 6):
+        top = SliceParams(v_top + 1, v_top + 1, k, n, CONNECTED)
+        below = enumerate_basis(SliceParams(v_top, v_top, k, n, CONNECTED))
+        column = column_map(complexes._image(top), below.basis, "")
+        for g in complexes._classes(top, _orbit_reps(*complexes._orbit_args(top))):
+            cls = canonicalize(g, parity)
+            assert column(g) == {i: cls.sign * c for i, c in column(cls.rep).items()}
+            moved += cls.rep != g
+            nonzero += bool(column(g))
+    assert moved and nonzero
+
+    v_top = 2  # the top search builds every class of the (3, 3) slice
+    expected = full_rows(0, k, n, CONNECTED, v_top)
+    vertex_counts = []
+    real = graphs._canonical_form
+
+    def counted(v, *args):
+        vertex_counts.append(v)
+        return real(v, *args)
+
+    monkeypatch.setattr(graphs, "_canonical_form", counted)
+    assert homology_table(0, k, n, CONNECTED, v_top) == expected
+    assert top_search["done"]
+    assert v_top in vertex_counts and v_top + 1 not in vertex_counts
