@@ -4,8 +4,10 @@ A slice is the span of symmetry classes of connected k-colored graphs
 with fixed vertex and edge counts, optionally restricted by valence and
 passing-vertex constraints.  The differential is the sum of the edge
 contractions minus the deletions of 1-valent vertices; it always drops
-both counts by one and never changes the loop number e - v.  Bases come
-from the graph module's colored-class enumerator, matrices from
+both counts by one and never changes the loop number e - v.  One
+admission routine, ``_classes`` over the graph module's colored-class
+enumerator, gives the bases of this complex and of the solid/dotted one
+(``skeleton.enumerate_skeleton_shape``); matrices come from
 ``linalg.matrix_of``.
 
 Each column of the differential is built in one pass over its source
@@ -148,13 +150,15 @@ def check_constraints(constraints):
     return constraints
 
 
-def check_bounds(v, e, k, force=False):
+def check_bounds(v, e, k, force=False, bounds=DEFAULT_BOUNDS):
+    """Refuse a slice over the table, ``DEFAULT_BOUNDS`` or, with e = solid
+    + 2 * dotted, ``SHAPE_BOUNDS`` for a skeleton shape, unless forced."""
     if force:
         return
-    if v > DEFAULT_BOUNDS["v"] or e > DEFAULT_BOUNDS["e"] or k > DEFAULT_BOUNDS["k"]:
+    if v > bounds["v"] or e > bounds["e"] or k > bounds["k"]:
         raise ValueError(
             f"slice (v={v}, e={e}, k={k}) exceeds the default bounds "
-            f"{DEFAULT_BOUNDS}; pass force=True to override"
+            f"{bounds}; pass force=True to override"
         )
 
 
@@ -171,9 +175,9 @@ def _min_valence(k, cons):
     return 3 if k == 0 and Constraint.NO_PASSING in cons else 2
 
 
-def _admits_degrees(v, pairs, cons):
-    """The degree constraints that the orbit generator does not enforce."""
-    degrees = _pair_degrees(v, pairs)
+def _admits_degrees(v, edges, cons):
+    """The degree constraints the orbit generator leaves, on all kinds."""
+    degrees = _pair_degrees(v, (pair for pairs in edges for pair in pairs))
     if Constraint.ONLY_2_VALENT in cons and any(d != 2 for d in degrees):
         return False
     return Constraint.MIN_VALENCE_3_SOMEWHERE not in cons or any(d >= 3 for d in degrees)
@@ -187,20 +191,20 @@ def _orbit_args(params: SliceParams):
     return params.v, ((params.e, False, False),), Constraint.CONNECTED in cons, _min_valence(params.k, cons)
 
 
-def _classes(params: SliceParams, structures):
-    """The classes of a slice on the given orbit structures of its
-    underlying multigraph, in their order, each as a labeled coloring as
-    it is found: the structures that pass the degree constraints, then
-    the colored classes on each (``graphs._colored_classes``), dropping
-    colorings with a passing vertex under the no-passing constraint."""
-    v, k, cons = params.v, params.k, params.constraints
-    structures = ((edges, stab) for edges, stab in structures if _admits_degrees(v, edges[0], cons))
+def _classes(v, k, parity, cons, structures, kinds=GRAPH_KINDS):
+    """The classes on the given orbit structures under the constraints,
+    in their order, each as a labeled coloring (one record tuple per kind)
+    as it is found: the colored classes (``graphs._colored_classes``) on
+    the structures that pass the degree constraints, without colorings
+    that have a passing vertex under no_passing.  Both read the edges of
+    all kinds together, so one routine admits the classes of both bases."""
+    structures = ((edges, stab) for edges, stab in structures if _admits_degrees(v, edges, cons))
+    no_passing = Constraint.NO_PASSING in cons
 
-    def admit(edges):
-        return Constraint.NO_PASSING not in cons or not has_passing_vertex(ColoredGraph(v, k, edges[0]))
+    def admit(records):
+        return not no_passing or not has_passing_vertex(ColoredGraph(v, k, sum(records, ())))
 
-    for (records,) in _colored_classes(v, k, structures, GRAPH_KINDS, params.parity, admit):
-        yield ColoredGraph(v, k, records)
+    return _colored_classes(v, k, structures, kinds, parity, admit)
 
 
 def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
@@ -211,7 +215,9 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
     check_bounds(params.v, params.e, params.k, force)
     if params.v < 1 or params.e < 0:
         raise ValueError("need v >= 1 and e >= 0")
-    classes = [canonicalize(g, params.parity) for g in _classes(params, _orbit_reps(*_orbit_args(params)))]
+    v, k, parity = params.v, params.k, params.parity
+    colorings = _classes(v, k, parity, params.constraints, _orbit_reps(*_orbit_args(params)))
+    classes = [canonicalize(ColoredGraph(v, k, records), parity) for (records,) in colorings]
     assert ZERO not in classes, "stabilizer and refinement disagree on Zero"
     basis = sorted((cls.rep for cls in classes), key=sort_key)
     return BasisSlice(params, tuple(basis), params.degree)
@@ -415,8 +421,8 @@ def homology_table(b, k, n, constraints, v_top, force=False):
 
         def search(emit):
             def columns(structure):
-                for g in _classes(top, (structure,)):
-                    emit(column(g))
+                for (records,) in _classes(top.v, k, top.parity, top.constraints, (structure,)):
+                    emit(column(ColoredGraph(top.v, k, records)))
 
             _orbit_search(*_orbit_args(top), columns)
 

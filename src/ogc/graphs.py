@@ -481,13 +481,9 @@ def _colored_classes(v, k, structures, kinds, parity, admit):
 
 
 def sort_key(g: ColoredGraph):
-    """Total order on graphs: (tail, head) data first, then color data.
-
-    Comparing all pair data before any color data means that, over the
-    stabilizer of a sorted underlying multigraph, the minimal form differs
-    from the others in its color data only; the basis enumerator's
-    one-coloring-per-class test compares exactly that.
-    """
+    """Total order on graphs: (tail, head) data first, then color data,
+    so a sorted basis lists the classes on one underlying multigraph
+    together."""
     return (g.v, g.k, tuple(r[:2] for r in g.records), tuple(r[2:] for r in g.records))
 
 

@@ -19,7 +19,8 @@ Parities (m is the complex's own grading parameter):
 These rules are declared as the two edge kinds ``graphs.SKELETON_KINDS``,
 and the graph module's typed-edge kernel applies them, so canonical forms,
 classes (``graphs.CanonicalClass``) and bases of both complexes come from
-the same code.
+the same code.  Shape bases are admitted by ``complexes._classes`` under
+``REDUCED_CONSTRAINTS``, read in the base colors.
 
 All differential signs below are anchored to the expanded picture in
 the full (k+1)-colored complex, where middle vertices are labeled after
@@ -47,17 +48,14 @@ from .graphs import (
     _arcs_acyclic,
     _canonical_form,
     _color_acyclic,
-    _colored_classes,
     _orbit_reps,
-    _pair_degrees,
-    _pairs_connected,
     _passing_in_color,
     canonicalize,
     merge_labels,
     relabel_records,
     shift_sign,
 )
-from .complexes import SHAPE_BOUNDS
+from .complexes import REDUCED_CONSTRAINTS, SHAPE_BOUNDS, _classes, _min_valence, check_bounds
 from .linalg import SparseRationalMatrix, homology, matrix_of
 
 SOLID, DOTTED = SKELETON_KINDS
@@ -122,36 +120,6 @@ def canonicalize_skeleton(sg: SkeletonGraph, parity: Parity) -> CanonicalClass:
 
 def _sk_last_color_acyclic(sg):
     return _arcs_acyclic(sg.v, [(r[0], r[1]) for r in sg.solid])
-
-
-def is_valid_special(sg: SkeletonGraph) -> bool:
-    """Membership in the solid/dotted complex: connected, no cycles in
-    any color, no solid tadpoles, every vertex at least 3-valent or
-    2-valent but not passing in some base color, and at least one vertex
-    at least 3-valent."""
-    if sg.v < 1:
-        return False
-    if any(r[0] == r[1] for r in sg.solid):
-        return False
-    if not _pairs_connected(sg.v, [r[:2] for r in sg.solid + sg.dotted]):
-        return False
-    for c in range(1, sg.k + 1):
-        if not _color_acyclic(sg.v, sg.solid + sg.dotted, c):
-            return False
-    if not _sk_last_color_acyclic(sg):
-        return False
-    some_big = False
-    for x, val in enumerate(_pair_degrees(sg.v, [r[:2] for r in sg.solid + sg.dotted])):
-        if val >= 3:
-            some_big = True
-            continue
-        if val < 2:
-            return False
-        if all(_passing_in_color(sg.solid + sg.dotted, x, c) for c in range(1, sg.k + 1)):
-            # passing in every base color: either fully passing or an
-            # unreduced string interior; excluded either way
-            return False
-    return some_big
 
 
 def has_dotted_tadpole(sg):
@@ -325,42 +293,34 @@ class SkeletonSliceParams(NamedTuple):
         return Parity.from_n(self.n)
 
 
-def _family_admits(sg, family, parity):
-    if not is_valid_special(sg) or quotient_kills(sg, family, parity):
-        return False
-    if family is SkeletonFamily.TADPOLE_SUB:
-        return has_dotted_tadpole(sg)
-    if family is SkeletonFamily.MULTI_SUB:
-        return has_multiple_edge(sg)
-    return True
-
-
 def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     """Canonical classes of one (v, solids, dotteds) shape, sorted.
 
-    Two levels, like the ordinary basis enumeration: connected structures
-    of the least valence the complex admits, up to relabeling, first,
-    then the colored classes on each (``graphs._colored_classes``) that
-    the family admits, stored as their ``canonicalize_skeleton``
-    representatives.  A shape whose edges have too few ends for that
-    valence is empty, and builds nothing whatever its size.
+    ``complexes._classes`` under the reduced constraints, on the connected
+    structures of their least valence (``graphs._orbit_reps``, acyclic in
+    the last color) that the family admits, stored as their
+    ``canonicalize_skeleton`` representatives.  The family reads pairs
+    only, so it is tested once per structure.  A shape whose edges have
+    too few ends for the least valence is empty, and builds nothing
+    whatever its size; any other is held to ``SHAPE_BOUNDS``.
     """
-    v, k, s, d = params.v, params.k, params.n_solid, params.n_dotted
-    # the least valence is_valid_special admits: without base colors
-    # every 2-valent vertex passes
-    m = 3 if k == 0 else 2
+    v, k, s, d, family = params.v, params.k, params.n_solid, params.n_dotted, params.family
+    if v < 1 or s < 0 or d < 0:
+        raise ValueError("need v >= 1 and nonnegative edge counts")
+    m = _min_valence(k, REDUCED_CONSTRAINTS)
     if m * v > 2 * (s + d):
         return ()  # empty before any bound applies
-    if not force and (v > SHAPE_BOUNDS["v"] or s + 2 * d > SHAPE_BOUNDS["e"] or k > SHAPE_BOUNDS["k"]):
-        raise ValueError(f"shape {params} exceeds default bounds; pass force=True")
+    check_bounds(v, s + 2 * d, k, force, SHAPE_BOUNDS)
     parity = params.parity
-    structures = _orbit_reps(v, ((s, True, False), (d, False, True)), True, m)
+    needs = {SkeletonFamily.TADPOLE_SUB: has_dotted_tadpole, SkeletonFamily.MULTI_SUB: has_multiple_edge}.get(family)
 
-    def admit(edges):
-        return _family_admits(SkeletonGraph(v, k, *edges), params.family, parity)
+    def admitted(structure):
+        sg = SkeletonGraph(v, k, *structure[0])
+        return (needs is None or needs(sg)) and not quotient_kills(sg, family, parity)
 
-    classes = [canonicalize_skeleton(SkeletonGraph(v, k, *edges), parity)
-               for edges in _colored_classes(v, k, structures, SKELETON_KINDS, parity, admit)]
+    structures = filter(admitted, _orbit_reps(v, ((s, True, False), (d, False, True)), True, m))
+    colorings = _classes(v, k, parity, REDUCED_CONSTRAINTS, structures, SKELETON_KINDS)
+    classes = [canonicalize_skeleton(SkeletonGraph(v, k, *edges), parity) for edges in colorings]
     assert ZERO not in classes, "stabilizer and refinement disagree on Zero"
     return tuple(sorted((cls.rep for cls in classes), key=sk_sort_key))
 

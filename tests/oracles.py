@@ -1,11 +1,19 @@
 """Independent checks that only the tests use: the matrix-tree count of
 spanning trees, weak passing and the collapse of an expanded graph back
-into its skeleton, and a modular rank through the package's elimination
-loop."""
+into its skeleton, membership in the solid/dotted complex, and a
+modular rank through the package's elimination loop."""
 
 from fractions import Fraction
 
-from ogc.graphs import ColoredGraph, _passing_in_color, valence
+from ogc.graphs import (
+    ColoredGraph,
+    _arcs_acyclic,
+    _color_acyclic,
+    _pair_degrees,
+    _pairs_connected,
+    _passing_in_color,
+    valence,
+)
 from ogc.linalg import SparseRationalMatrix, _eliminate
 from ogc.skeleton import SkeletonGraph
 
@@ -124,6 +132,36 @@ def extract_skeleton(g: ColoredGraph) -> SkeletonGraph:
 
 def _other_end(rec, x):
     return rec[1] if rec[0] == x else rec[0]
+
+
+def is_valid_special(sg: SkeletonGraph) -> bool:
+    """Membership in the solid/dotted complex: connected, no cycles in
+    any color, no solid tadpoles, every vertex at least 3-valent or
+    2-valent but not passing in some base color, and at least one vertex
+    at least 3-valent."""
+    if sg.v < 1:
+        return False
+    if any(r[0] == r[1] for r in sg.solid):
+        return False
+    if not _pairs_connected(sg.v, [r[:2] for r in sg.solid + sg.dotted]):
+        return False
+    for c in range(1, sg.k + 1):
+        if not _color_acyclic(sg.v, sg.solid + sg.dotted, c):
+            return False
+    if not _arcs_acyclic(sg.v, [(r[0], r[1]) for r in sg.solid]):
+        return False
+    some_big = False
+    for x, val in enumerate(_pair_degrees(sg.v, [r[:2] for r in sg.solid + sg.dotted])):
+        if val >= 3:
+            some_big = True
+            continue
+        if val < 2:
+            return False
+        if all(_passing_in_color(sg.solid + sg.dotted, x, c) for c in range(1, sg.k + 1)):
+            # passing in every base color: either fully passing or an
+            # unreduced string interior; excluded either way
+            return False
+    return some_big
 
 
 def rank_mod_p(m: SparseRationalMatrix, p: int = CHECK_PRIME) -> int:

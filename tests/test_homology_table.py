@@ -20,7 +20,7 @@ from ogc.complexes import (
     homology_table,
     slice_chain,
 )
-from ogc.graphs import Parity, _orbit_reps, canonicalize
+from ogc.graphs import ColoredGraph, Parity, _orbit_reps, canonicalize
 from ogc.linalg import ClosureError, column_map
 
 CONNECTED = frozenset({Constraint.CONNECTED})
@@ -122,7 +122,8 @@ def test_top_search_ranks_labeled_columns(monkeypatch, top_search):
         top = SliceParams(v_top + 1, v_top + 1, k, n, CONNECTED)
         below = enumerate_basis(SliceParams(v_top, v_top, k, n, CONNECTED))
         column = column_map(complexes._image(top), below.basis, "")
-        for g in complexes._classes(top, _orbit_reps(*complexes._orbit_args(top))):
+        for (records,) in complexes._classes(top.v, k, parity, CONNECTED, _orbit_reps(*complexes._orbit_args(top))):
+            g = ColoredGraph(top.v, k, records)
             cls = canonicalize(g, parity)
             assert column(g) == {i: cls.sign * c for i, c in column(cls.rep).items()}
             moved += cls.rep != g

@@ -1,11 +1,13 @@
 """Solid/dotted complex: parities, expansion, the differential."""
 
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
 from ogc.graphs import ColoredGraph, Parity, TermVector, canonicalize
-from ogc.complexes import REDUCED_CONSTRAINTS, contract_edge, differential_in_slice
+from ogc.complexes import REDUCED_CONSTRAINTS, SHAPE_BOUNDS, contract_edge, differential_in_slice
 from ogc.skeleton import (
     SkeletonFamily,
     SkeletonGraph,
@@ -15,8 +17,8 @@ from ogc.skeleton import (
     dotted_differential,
     enumerate_skeleton_shape,
     expand_dotted,
+    has_dotted_tadpole,
     has_multiple_edge,
-    is_valid_special,
     make_skeleton,
     quotient_kills,
     skeleton_degree_slice,
@@ -24,7 +26,7 @@ from ogc.skeleton import (
     skeleton_differential_matrix,
     skeleton_homology_dims,
 )
-from oracles import extract_skeleton, is_weakly_passing
+from oracles import extract_skeleton, is_valid_special, is_weakly_passing
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -105,6 +107,67 @@ class TestValidity:
         assert not has_multiple_edge(
             make_skeleton(2, [(0, 1)], [], k=0)
         )
+
+
+def labeled_members(v, s, d, k):
+    """Every labeled graph of a shape that the membership oracle accepts,
+    built without the orbit search: each multiset of solid arcs and of
+    dotted pairs (t <= h, a reversal being a symmetry) with every choice
+    of base color signs."""
+    signs = list(itertools.product((1, -1), repeat=k))
+    solid = [(t, h) + c for t in range(v) for h in range(v) if t != h for c in signs]
+    dotted = [(t, h) + c for t in range(v) for h in range(t, v) for c in signs]
+    for solids in itertools.combinations_with_replacement(solid, s):
+        for dotteds in itertools.combinations_with_replacement(dotted, d):
+            sg = SkeletonGraph(v, k, solids, dotteds)
+            if is_valid_special(sg):
+                yield sg
+
+
+def in_family(sg, family, parity):
+    if quotient_kills(sg, family, parity):
+        return False
+    if family is SkeletonFamily.TADPOLE_SUB:
+        return has_dotted_tadpole(sg)
+    return family is not SkeletonFamily.MULTI_SUB or has_multiple_edge(sg)
+
+
+class TestShapeEnumeration:
+    def test_bases_equal_brute_force(self):
+        """Every shape with v <= 3, s + d <= 4 and k <= 1, both parities,
+        all four families: the basis is the set of canonical non-Zero
+        classes of the labeled members the family keeps, each once."""
+        found = 0
+        for v, k, s in itertools.product((1, 2, 3), (0, 1), range(5)):
+            for d in range(5 - s):
+                members = list(labeled_members(v, s, d, k))
+                for n in (0, 1):
+                    parity = Parity.from_n(n)
+                    reps = {canonicalize_skeleton(sg, parity).rep for sg in members} - {None}
+                    for family in SkeletonFamily:
+                        got = enumerate_skeleton_shape(SkeletonSliceParams(v, s, d, k, n, family))
+                        assert len(set(got)) == len(got)
+                        assert set(got) == {rep for rep in reps if in_family(rep, family, parity)}, (v, s, d, k, n, family)
+                        found += len(got)
+        assert found > 100
+
+    @pytest.mark.parametrize("v, s, d, k", [(2, -1, 4, 0), (2, 3, -1, 1), (0, 1, 1, 0), (0, 0, 0, 1)])
+    def test_bad_counts_rejected_before_any_search(self, v, s, d, k):
+        with pytest.raises(ValueError, match="need v >= 1 and nonnegative edge counts"):
+            enumerate_skeleton_shape(SkeletonSliceParams(v, s, d, k, 0, SkeletonFamily.SPECIAL))
+
+    @pytest.mark.parametrize("v, s, d, k, n", [(2, 1, 2, 3, 0), (2, 11, 1, 0, 1)])
+    def test_shape_over_the_bounds_needs_force(self, v, s, d, k, n):
+        params = SkeletonSliceParams(v, s, d, k, n, SkeletonFamily.SPECIAL)
+        message = f"slice (v={v}, e={s + 2 * d}, k={k}) exceeds the default bounds {SHAPE_BOUNDS}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enumerate_skeleton_shape(params)
+        assert enumerate_skeleton_shape(params, force=True)
+
+    def test_shape_empty_by_valence_is_never_refused(self):
+        # seven vertices, two edges: over the vertex bound, and too few ends
+        assert SHAPE_BOUNDS["v"] < 7
+        assert enumerate_skeleton_shape(SkeletonSliceParams(7, 1, 1, 0, 0, SkeletonFamily.SPECIAL)) == ()
 
 
 class TestQuotient:

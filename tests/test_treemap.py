@@ -21,7 +21,6 @@ from ogc.linalg import SparseRationalMatrix, induced_rank, rank
 from ogc.skeleton import (
     SkeletonFamily,
     canonicalize_skeleton,
-    is_valid_special,
     make_skeleton,
     skeleton_degree_slice,
     skeleton_differential_matrix,
@@ -34,7 +33,7 @@ from ogc.treemap import (
     verify_chain_map,
     verify_quasi_iso,
 )
-from oracles import tree_count_oracle
+from oracles import is_valid_special, tree_count_oracle
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
