@@ -23,7 +23,9 @@ default bounds without --force), and 3 is an internal error: a term of
 either differential or of the comparison map fell outside the enumerated
 target basis (``linalg.ClosureError``), reported as one ``internal error:
 ...`` line on stderr.  4 means the command ran out of memory (``error:
-out of memory: ...``); no record is printed.
+out of memory: ...``) and 5 that a --workers process died (``error: a
+worker process died ...``, naming a job it left without rows); neither
+prints a record.
 """
 
 from __future__ import annotations
@@ -188,18 +190,30 @@ class UsageError(Exception):
     pass
 
 
+class WorkerDied(Exception):
+    """A --workers process died before its job returned."""
+
+
 def run_jobs(jobs, workers):
     """Evaluate (key, fn, args) jobs, each returning a list of rows, and
     concatenate their rows in key order.  ``fn`` is a module-level
     function, which the process pool pickles by name.  The pool's modules
     load only here, so a one-worker run never imports them, and the pool
-    starts no more processes than there are jobs."""
+    starts no more processes than there are jobs.  A dead worker breaks
+    the pool, which stops the others: ``WorkerDied`` names the first job,
+    in submission order, left without rows."""
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [(key, pool.submit(fn, *fn_args)) for key, fn, fn_args in jobs]
-            results = [(key, fut.result()) for key, fut in futures]
+            results = []
+            for key, fut in futures:
+                try:
+                    results.append((key, fut.result()))
+                except BrokenProcessPool as exc:
+                    raise WorkerDied(f"a worker process died, and job {key} got no rows: {exc}") from None
     else:
         results = [(key, fn(*fn_args)) for key, fn, fn_args in jobs]
     results.sort(key=lambda kv: kv[0])
@@ -290,14 +304,14 @@ def jobs_verify_dsq(args):
 
 
 def jobs_verify_chain(args):
-    # the expanded cross-check canonicalizes graphs on e + 1 vertices,
-    # so the edge bound stays small unless forced
-    v_hi = args.vertices_max if args.force else min(args.vertices_max, 4)
-    e_hi = args.edges_max if args.force else min(args.edges_max, 6)
+    # the expanded cross-check canonicalizes graphs on e + 1 vertices, so
+    # the bounds stay small unless forced, and the record reports them
+    if not args.force:
+        args.vertices_max, args.edges_max = min(args.vertices_max, 4), min(args.edges_max, 6)
     return [
         ((v, e), _job_chain_slice, (v, e, args.n, args.force))
-        for v in range(1, v_hi + 1)
-        for e in range(v - 1, e_hi + 1)
+        for v in range(1, args.vertices_max + 1)
+        for e in range(v - 1, args.edges_max + 1)
         if 3 * v <= 2 * e
     ]
 
@@ -424,6 +438,9 @@ def main(argv=None):
         detail = str(exc) or f"{args.command} needs more memory than the process may use"
         print(f"error: out of memory: {detail}", file=sys.stderr)
         return 4
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -5,10 +5,10 @@ with fixed vertex and edge counts, optionally restricted by valence and
 passing-vertex constraints.  The differential is the sum of the edge
 contractions minus the deletions of 1-valent vertices; it always drops
 both counts by one and never changes the loop number e - v.  One
-admission routine, ``_classes`` over the graph module's colored-class
-enumerator, gives the bases of this complex and of the solid/dotted one
-(``skeleton.enumerate_skeleton_shape``); matrices come from
-``linalg.matrix_of``.
+finisher, ``_basis``, sorts the canonical forms of the classes that
+``_classes`` admits by ``graphs.form_key``, for this complex and for the
+solid/dotted one (``skeleton.enumerate_skeleton_shape``); matrices come
+from ``linalg.matrix_of``.
 
 Each column of the differential is built in one pass over its source
 graph, and only from the terms that survive.  Contracting an edge with
@@ -66,17 +66,17 @@ from .graphs import (
     TermVector,
     GRAPH_KINDS,
     VERTICES_ODD,
-    ZERO,
+    _canonical_form,
     _colored_classes,
     _orbit_reps,
     _orbit_search,
     _pair_degrees,
     canonicalize,
+    form_key,
     has_passing_vertex,
     merge_labels,
     relabel_records,
     shift_sign,
-    sort_key,
 )
 from .linalg import SparseRationalMatrix, column_map, homology, matrix_of, rank_until
 
@@ -207,20 +207,25 @@ def _classes(v, k, parity, cons, structures, kinds=GRAPH_KINDS):
     return _colored_classes(v, k, structures, kinds, parity, admit)
 
 
+def _basis(v, k, parity, cons, structures, kinds=GRAPH_KINDS):
+    """The canonical forms (one record tuple per kind) of the classes
+    ``_classes`` admits, sorted by ``form_key``: the basis order of both
+    complexes.  Each class is found once, and Zero classes never are."""
+    classes = [_canonical_form(v, edges, kinds, parity) for edges in _classes(v, k, parity, cons, structures, kinds)]
+    assert None not in classes, "stabilizer and refinement disagree on Zero"
+    return sorted((form for form, _ in classes), key=form_key)
+
+
 def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
-    """All canonical classes of the slice (``_classes`` on the cached
-    ``graphs._orbit_reps``, canonicalized), sorted; each class is found
-    once, and Zero classes never are."""
+    """All canonical classes of the slice, in basis order: ``_basis`` on
+    the cached ``graphs._orbit_reps``."""
     check_constraints(params.constraints)
     check_bounds(params.v, params.e, params.k, force)
     if params.v < 1 or params.e < 0:
         raise ValueError("need v >= 1 and e >= 0")
-    v, k, parity = params.v, params.k, params.parity
-    colorings = _classes(v, k, parity, params.constraints, _orbit_reps(*_orbit_args(params)))
-    classes = [canonicalize(ColoredGraph(v, k, records), parity) for (records,) in colorings]
-    assert ZERO not in classes, "stabilizer and refinement disagree on Zero"
-    basis = sorted((cls.rep for cls in classes), key=sort_key)
-    return BasisSlice(params, tuple(basis), params.degree)
+    v, k = params.v, params.k
+    forms = _basis(v, k, params.parity, params.constraints, _orbit_reps(*_orbit_args(params)))
+    return BasisSlice(params, tuple(ColoredGraph(v, k, records) for (records,) in forms), params.degree)
 
 
 # ---------------------------------------------------------------------------

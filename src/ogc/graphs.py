@@ -26,7 +26,7 @@ Conventions used throughout the package:
   ``typing.NamedTuple`` records: immutable, and hashed and compared in C
   as their field tuples, which the differential's sums,
   ``linalg.matrix_of``'s index and the canonical-form memo do for every
-  term.  ``<`` orders graphs by ``sort_key``.
+  term.
 
 Canonical forms come from one labeling engine shared with the skeleton
 complex.  It sees a graph as a tuple of typed edge kinds (``EdgeKind``):
@@ -36,8 +36,9 @@ one kind (``GRAPH_KINDS``), a solid/dotted skeleton two
 (``SKELETON_KINDS``).  Color refinement (``_refine``, fed by
 ``_edge_ends``) splits the vertices into an ordered partition that every
 isomorphism respects, and the normalization kernel ``_normal_form`` takes
-the minimal form over the permutations that map each cell onto its own
-block of positions (``_cell_perms``), not over all v! of them.  This is
+the least form in the one order of forms (``form_key``, which also sorts
+both bases) over the permutations that map each cell onto its own block
+of positions (``_cell_perms``), not over all v! of them.  This is
 the refinement half of McKay & Piperno, "Practical graph isomorphism
 II", J. Symbolic Comput. 60 (2014), without individualization.  The
 bases of both complexes come from one enumerator, ``_colored_classes``,
@@ -46,8 +47,8 @@ which colors the structures of the orbit search ``_orbit_search``.
 Most inputs refine to singleton cells: 5,717 of the 6,258 the engine
 computes in a ``verify-props --n 1 --colors 1`` run.  ``_refine`` stops
 as soon as every cell is a singleton, and ``_canonical_form`` then
-applies the one relabeling through ``_relabeled_form``, the routine
-that gives ``_normal_form`` the form of each permutation.
+applies ``_cell_perms``' one relabeling through ``_relabeled_form``, the
+routine that gives ``_normal_form`` the form of each permutation.
 
 Each labeled graph is canonicalized once per process, as far as a small
 memo allows.  ``_canonical_form`` keeps the last ``CANON_MEMO_SIZE``
@@ -101,38 +102,36 @@ class ColoredGraph(NamedTuple):
         """Ordered (tail, head) pairs, one per edge."""
         return tuple(r[:2] for r in self.records)
 
-    def __lt__(self, other):
-        return sort_key(self) < sort_key(other)
-
 
 def make_graph(v, edges, colors=None):
-    """Build a ColoredGraph from (tail, head) pairs and color-sign rows."""
+    """Build a ColoredGraph from (tail, head) pairs and color-sign rows;
+    ValueError for records ``check_records`` refuses, a tadpole or a color cycle."""
     if colors is None:
         colors = [()] * len(edges)
     if len(colors) != len(edges):
         raise ValueError("one color row per edge required")
     k = len(colors[0]) if colors else 0
     records = tuple(tuple(e) + tuple(c) for e, c in zip(edges, colors))
-    g = ColoredGraph(v, k, records)
-    check_graph(g)
-    return g
+    check_records(v, k, records)
+    for rec in records:
+        if rec[0] == rec[1]:
+            raise ValueError(f"tadpole edge at vertex {rec[0]}")
+    for c in range(1, k + 1):
+        if not _color_acyclic(v, records, c):
+            raise ValueError(f"color {c} orientation has a directed cycle")
+    return ColoredGraph(v, k, records)
 
 
-def check_graph(g: ColoredGraph):
-    """Validate the ColoredGraph invariants, raising ValueError on failure."""
-    for rec in g.records:
-        if len(rec) != 2 + g.k:
-            raise ValueError(f"record {rec} does not carry {g.k} color signs")
-        t, h = rec[0], rec[1]
-        if t == h:
-            raise ValueError(f"tadpole edge at vertex {t}")
-        if not (0 <= t < g.v and 0 <= h < g.v):
+def check_records(v, k, records):
+    """Raise ValueError unless every flat record holds two ends in 0..v-1
+    and k color signs, each +-1."""
+    for rec in records:
+        if len(rec) != 2 + k:
+            raise ValueError(f"record {rec} does not carry {k} color signs")
+        if not (0 <= rec[0] < v and 0 <= rec[1] < v):
             raise ValueError(f"vertex index out of range in record {rec}")
         if any(s not in (1, -1) for s in rec[2:]):
             raise ValueError(f"color signs must be +-1 in record {rec}")
-    for c in range(1, g.k + 1):
-        if not is_acyclic_in_color(g, c):
-            raise ValueError(f"color {c} orientation has a directed cycle")
 
 
 class GroupElement(NamedTuple):
@@ -480,13 +479,6 @@ def _colored_classes(v, k, structures, kinds, parity, admit):
                 yield colored
 
 
-def sort_key(g: ColoredGraph):
-    """Total order on graphs: (tail, head) data first, then color data,
-    so a sorted basis lists the classes on one underlying multigraph
-    together."""
-    return (g.v, g.k, tuple(r[:2] for r in g.records), tuple(r[2:] for r in g.records))
-
-
 class EdgeKind(NamedTuple):
     """Relabeling rules of one edge kind.
 
@@ -570,14 +562,20 @@ def _relabeled_form(edges, kinds, parity, perm, sign):
     return tuple(form), sign
 
 
+def form_key(edges):
+    """The one order of forms, one record tuple per kind: pair data of every
+    kind, then color data.  A slice or skeleton shape fixes the record
+    counts, so a sorted basis lists the classes on one structure together."""
+    return [r[:2] for rs in edges for r in rs] + [r[2:] for rs in edges for r in rs]
+
+
 def _normal_form(edges, kinds, parity, perms):
-    """Minimal ``_relabeled_form`` with sign over the given vertex perms,
-    or None when an odd automorphism kills the class.  Forms compare by
-    the pair data of every kind before any color data.  ``perms`` is an
-    iterable of (vertex permutation, permutation sign) pairs closed under
-    composing with the graph's automorphisms: the refinement-respecting
-    permutations (canonical forms) or all of S_v (the exhaustive
-    reference).
+    """Least ``_relabeled_form`` under ``form_key``, with its sign, over the
+    given vertex perms, or None when an odd automorphism kills the class.
+    ``perms`` is an iterable of (vertex permutation, permutation sign)
+    pairs closed under composing with the graph's automorphisms: the
+    refinement-respecting permutations (canonical forms) or all of S_v
+    (the exhaustive reference).
     """
     best = best_key = None
     best_sign = 0
@@ -586,9 +584,7 @@ def _normal_form(edges, kinds, parity, perms):
         if out is None:
             return None
         form, sign = out
-        # each kind has the same record count in every form, so the flat
-        # list compares like the per-kind tuples of pair, then color data
-        key = [r[:2] for rs in form for r in rs] + [r[2:] for rs in form for r in rs]
+        key = form_key(form)
         if best_key is None or key < best_key:
             best, best_key, best_sign = form, key, sign
         elif key == best_key and sign != best_sign:
@@ -633,13 +629,8 @@ def _canonical_form(v, edges, kinds, parity):
     cells = _refine(v, _edge_ends(v, edges, kinds))
     if len(cells) < v:
         return _normal_form(edges, kinds, parity, _cell_perms(cells))
-    # the one relabeling sends cell i's vertex to i; base, its inverse,
-    # has its sign
-    base = [x for x, in cells]
-    perm = [0] * v
-    for i, x in enumerate(base):
-        perm[x] = i
-    return _relabeled_form(edges, kinds, parity, perm, perm_parity(base))
+    ((perm, sign),) = _cell_perms(cells)
+    return _relabeled_form(edges, kinds, parity, perm, sign)
 
 
 def canonicalize(g: ColoredGraph, parity: Parity) -> CanonicalClass:

@@ -19,7 +19,7 @@ Parities (m is the complex's own grading parameter):
 These rules are declared as the two edge kinds ``graphs.SKELETON_KINDS``,
 and the graph module's typed-edge kernel applies them, so canonical forms,
 classes (``graphs.CanonicalClass``) and bases of both complexes come from
-the same code.  Shape bases are admitted by ``complexes._classes`` under
+the same code.  Shape bases come from ``complexes._basis`` under
 ``REDUCED_CONSTRAINTS``, read in the base colors.
 
 All differential signs below are anchored to the expanded picture in
@@ -51,11 +51,12 @@ from .graphs import (
     _orbit_reps,
     _passing_in_color,
     canonicalize,
+    check_records,
     merge_labels,
     relabel_records,
     shift_sign,
 )
-from .complexes import REDUCED_CONSTRAINTS, SHAPE_BOUNDS, _classes, _min_valence, check_bounds
+from .complexes import REDUCED_CONSTRAINTS, SHAPE_BOUNDS, _basis, _min_valence, check_bounds
 from .linalg import SparseRationalMatrix, homology, matrix_of
 
 SOLID, DOTTED = SKELETON_KINDS
@@ -78,29 +79,17 @@ class SkeletonGraph(NamedTuple):
     def n_dotted(self):
         return len(self.dotted)
 
-    def __lt__(self, other):
-        return sk_sort_key(self) < sk_sort_key(other)
-
-
-def sk_sort_key(sg: SkeletonGraph):
-    return (
-        sg.v,
-        sg.k,
-        len(sg.solid),
-        len(sg.dotted),
-        tuple(r[:2] for r in sg.solid),
-        tuple(r[:2] for r in sg.dotted),
-        tuple(r[2:] for r in sg.solid),
-        tuple(r[2:] for r in sg.dotted),
-    )
-
 
 def make_skeleton(v, solid, dotted, k=None):
+    """Build a SkeletonGraph whose records pass ``check_records``, k read
+    off the first record unless given.  Non-members such as anti-parallel
+    solids and dotted tadpoles pass."""
     solid = tuple(tuple(r) for r in solid)
     dotted = tuple(tuple(r) for r in dotted)
     if k is None:
         sample = solid + dotted
         k = len(sample[0]) - 2 if sample else 0
+    check_records(v, k, solid + dotted)
     return SkeletonGraph(v, k, solid, dotted)
 
 
@@ -294,15 +283,14 @@ class SkeletonSliceParams(NamedTuple):
 
 
 def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
-    """Canonical classes of one (v, solids, dotteds) shape, sorted.
+    """Canonical classes of one (v, solids, dotteds) shape, in basis order.
 
-    ``complexes._classes`` under the reduced constraints, on the connected
+    ``complexes._basis`` under the reduced constraints, on the connected
     structures of their least valence (``graphs._orbit_reps``, acyclic in
-    the last color) that the family admits, stored as their
-    ``canonicalize_skeleton`` representatives.  The family reads pairs
-    only, so it is tested once per structure.  A shape whose edges have
-    too few ends for the least valence is empty, and builds nothing
-    whatever its size; any other is held to ``SHAPE_BOUNDS``.
+    the last color) that the family admits.  The family reads pairs only,
+    so it is tested once per structure.  A shape whose edges have too few
+    ends for the least valence is empty, and builds nothing whatever its
+    size; any other is held to ``SHAPE_BOUNDS``.
     """
     v, k, s, d, family = params.v, params.k, params.n_solid, params.n_dotted, params.family
     if v < 1 or s < 0 or d < 0:
@@ -319,10 +307,8 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
         return (needs is None or needs(sg)) and not quotient_kills(sg, family, parity)
 
     structures = filter(admitted, _orbit_reps(v, ((s, True, False), (d, False, True)), True, m))
-    colorings = _classes(v, k, parity, REDUCED_CONSTRAINTS, structures, SKELETON_KINDS)
-    classes = [canonicalize_skeleton(SkeletonGraph(v, k, *edges), parity) for edges in colorings]
-    assert ZERO not in classes, "stabilizer and refinement disagree on Zero"
-    return tuple(sorted((cls.rep for cls in classes), key=sk_sort_key))
+    forms = _basis(v, k, parity, REDUCED_CONSTRAINTS, structures, SKELETON_KINDS)
+    return tuple(SkeletonGraph(v, k, *edges) for edges in forms)
 
 
 class SkeletonDegreeSlice:

@@ -240,6 +240,33 @@ def test_out_of_range_count_is_a_usage_error(argv, flag, capsys, tmp_path):
     assert err.startswith("error: ") and flag in err and err.count("\n") == 1
 
 
+def test_a_dead_worker_exits_5_with_one_line(capsys, monkeypatch):
+    # a job that kills its worker process breaks the pool; the run prints
+    # no record, one error line naming a job left without rows, and stops
+    # every worker
+    import multiprocessing
+
+    real = cli.jobs_verify_props
+    monkeypatch.setitem(cli.COMMANDS, "verify-props", lambda args: real(args) + [(("exit",), os._exit, (7,))])
+    code, out, err = run_cli(["--command", "verify-props", "--n", "1", "--colors", "1", "--workers", "2"], capsys)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: a worker process died, and job (") and err.count("\n") == 1
+    assert not multiprocessing.active_children()
+
+
+def test_verify_chain_reports_the_bounds_it_checks(capsys, tmp_path):
+    # unforced, verify-chain checks v <= 4 and e <= 6, and its record says so
+    argv = ["--command", "verify-chain", "--cache-dir", str(tmp_path)]
+    code, out, _ = run_cli(argv + ["--vertices-max", "9", "--edges-max", "9"], capsys)
+    record = json.loads(out)
+    assert code == 0
+    assert (record["params"]["vertices_max"], record["params"]["edges_max"]) == (4, 6)
+    _, same, _ = run_cli(argv + ["--vertices-max", "4", "--edges-max", "6"], capsys)
+    assert json.loads(same)["rows"] == record["rows"]
+    _, forced, _ = run_cli(argv + ["--vertices-max", "3", "--edges-max", "5", "--force"], capsys)
+    assert (json.loads(forced)["params"]["vertices_max"], json.loads(forced)["params"]["edges_max"]) == (3, 5)
+
+
 @pytest.mark.parametrize("command", ["verify-dsq", "verify-chain"])
 def test_verify_with_nothing_to_check_is_a_usage_error(command, capsys, tmp_path):
     argv = ["--command", command, "--edges-max", "1", "--cache-dir", str(tmp_path)]

@@ -139,7 +139,9 @@ def test_top_search_ranks_labeled_columns(monkeypatch, top_search):
         vertex_counts.append(v)
         return real(v, *args)
 
+    # the differential canonicalizes through graphs, the bases through complexes
     monkeypatch.setattr(graphs, "_canonical_form", counted)
+    monkeypatch.setattr(complexes, "_canonical_form", counted)
     assert homology_table(0, k, n, CONNECTED, v_top) == expected
     assert top_search["done"]
     assert v_top in vertex_counts and v_top + 1 not in vertex_counts

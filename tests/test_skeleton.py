@@ -108,6 +108,26 @@ class TestValidity:
             make_skeleton(2, [(0, 1)], [], k=0)
         )
 
+    @pytest.mark.parametrize(
+        "solid, dotted, message",
+        [
+            ([(0, -1)], [], "out of range"),
+            ([(0, 2)], [(0, 1)], "out of range"),
+            ([(0, 1, 7)], [], "must be"),
+            ([(0, 1, 1)], [(0, 1)], "does not carry 1 color signs"),
+        ],
+        ids=["negative-end", "end-past-v", "sign-7", "sign-counts-differ"],
+    )
+    def test_malformed_records_are_refused(self, solid, dotted, message):
+        with pytest.raises(ValueError, match=message):
+            make_skeleton(2, solid, dotted)
+
+    def test_non_members_are_still_built(self):
+        # anti-parallel solids and dotted tadpoles are records the tests
+        # build on purpose; only the membership oracle rejects them
+        for sg in (make_skeleton(2, [(0, 1), (1, 0)], [(0, 1)]), make_skeleton(2, [(0, 1)], [(1, 1)])):
+            assert not is_valid_special(sg)
+
 
 def labeled_members(v, s, d, k):
     """Every labeled graph of a shape that the membership oracle accepts,
