@@ -175,9 +175,9 @@ def _min_valence(k, cons):
     return 3 if k == 0 and Constraint.NO_PASSING in cons else 2
 
 
-def _admits_degrees(v, edges, cons):
-    """The degree constraints the orbit generator leaves, on all kinds."""
-    degrees = _pair_degrees(v, (pair for pairs in edges for pair in pairs))
+def _admits_degrees(v, pairs, cons):
+    """The degree constraints the orbit generator leaves, on a multigraph."""
+    degrees = _pair_degrees(v, pairs)
     if Constraint.ONLY_2_VALENT in cons and any(d != 2 for d in degrees):
         return False
     return Constraint.MIN_VALENCE_3_SOMEWHERE not in cons or any(d >= 3 for d in degrees)
@@ -188,30 +188,32 @@ def _orbit_args(params: SliceParams):
     multigraphs: connected ones only under the connectivity constraint,
     and only ones of the least degree the constraints admit."""
     cons = params.constraints
-    return params.v, ((params.e, False, False),), Constraint.CONNECTED in cons, _min_valence(params.k, cons)
+    return params.v, params.e, False, Constraint.CONNECTED in cons, _min_valence(params.k, cons)
 
 
-def _classes(v, k, parity, cons, structures, kinds=GRAPH_KINDS):
-    """The classes on the given orbit structures under the constraints,
+def _classes(v, k, parity, cons, structures, kinds=GRAPH_KINDS, decorate=None):
+    """The classes on the given orbit multigraphs under the constraints,
     in their order, each as a labeled coloring (one record tuple per kind)
-    as it is found: the colored classes (``graphs._colored_classes``) on
-    the structures that pass the degree constraints, without colorings
-    that have a passing vertex under no_passing.  Both read the edges of
-    all kinds together, so one routine admits the classes of both bases."""
-    structures = ((edges, stab) for edges, stab in structures if _admits_degrees(v, edges, cons))
+    as it is found: the colored classes (``graphs._colored_classes``) of
+    the ``decorate`` structures on the multigraphs that pass the degree
+    constraints, without colorings that have a passing vertex under
+    no_passing.  Both read the edges of all kinds together, so one routine
+    admits the classes of both bases."""
+    structures = ((pairs, stab) for pairs, stab in structures if _admits_degrees(v, pairs, cons))
     no_passing = Constraint.NO_PASSING in cons
 
     def admit(records):
         return not no_passing or not has_passing_vertex(ColoredGraph(v, k, sum(records, ())))
 
-    return _colored_classes(v, k, structures, kinds, parity, admit)
+    return _colored_classes(v, k, structures, kinds, parity, admit, decorate)
 
 
-def _basis(v, k, parity, cons, structures, kinds=GRAPH_KINDS):
+def _basis(v, k, parity, cons, structures, kinds=GRAPH_KINDS, decorate=None):
     """The canonical forms (one record tuple per kind) of the classes
     ``_classes`` admits, sorted by ``form_key``: the basis order of both
     complexes.  Each class is found once, and Zero classes never are."""
-    classes = [_canonical_form(v, edges, kinds, parity) for edges in _classes(v, k, parity, cons, structures, kinds)]
+    found = _classes(v, k, parity, cons, structures, kinds, decorate)
+    classes = [_canonical_form(v, edges, kinds, parity) for edges in found]
     assert None not in classes, "stabilizer and refinement disagree on Zero"
     return sorted((form for form, _ in classes), key=form_key)
 

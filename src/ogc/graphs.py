@@ -40,9 +40,12 @@ the least form in the one order of forms (``form_key``, which also sorts
 both bases) over the permutations that map each cell onto its own block
 of positions (``_cell_perms``), not over all v! of them.  This is
 the refinement half of McKay & Piperno, "Practical graph isomorphism
-II", J. Symbolic Comput. 60 (2014), without individualization.  The
-bases of both complexes come from one enumerator, ``_colored_classes``,
-which colors the structures of the orbit search ``_orbit_search``.
+II", J. Symbolic Comput. 60 (2014), without individualization.  Both
+bases come from one multigraph orbit search, ``_orbit_search``, and one
+enumerator, ``_colored_classes``, which colors each multigraph's
+decorations under its signed stabilizer: the multigraph itself for a
+ColoredGraph, its solid/dotted structures (``_decorations``) for a
+skeleton.
 
 Most inputs refine to singleton cells: 5,717 of the 6,258 the engine
 computes in a ``verify-props --n 1 --colors 1`` run.  ``_refine`` stops
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -248,29 +252,27 @@ def _cell_perms(cells):
         yield tuple(perm), sign
 
 
-def _orbit_search(v, kinds, connected, min_valence, emit):
-    """Orbit representatives, with full signed stabilizers, of typed edge
-    structures on v labeled vertices (orderly generation after McKay,
+def _orbit_search(v, e, loops, connected, min_valence, emit):
+    """Orbit representatives, with full signed stabilizers, of multigraphs
+    with e edges on v labeled vertices (orderly generation after McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).
 
-    ``kinds`` lists ``(count, directed, loops)``: ``count`` arcs (t, h)
-    forming an acyclic digraph, or pairs t < h plus loops (t, t) if
-    ``loops``.  Calls ``emit((edges, stab))`` as the search finds each:
-    one sorted tuple per kind and the (vertex permutation, sign) pairs
-    fixing it, as ``_cell_perms`` yields them; ``emit`` may raise to stop
-    the search.  Only structures that are connected, if ``connected``,
-    and whose every vertex has valence at least ``min_valence`` are
-    emitted; an arc or pair end counts once and a loop twice.
+    An edge is a pair t < h, or a loop (t, t) if ``loops``.  Calls
+    ``emit((pairs, stab))`` as the search finds each: the sorted pairs
+    and the (vertex permutation, sign) pairs fixing them, as
+    ``_cell_perms`` yields them; ``emit`` may raise to stop the search.
+    Only multigraphs that are connected, if ``connected``, and whose every
+    vertex has valence at least ``min_valence`` are emitted; a pair end
+    counts once and a loop twice.
 
-    Only labelings whose vertex signatures ((out, in) per directed kind,
-    (degree, loops) per undirected one) do not increase are built.  Edges
-    are chosen in (min end, max end) order, so vertices complete in label
-    order, and a branch dies once a partial signature exceeds the last
-    completed one or an arc closes a cycle.  Such labelings of one orbit
-    differ by permutations within blocks of equal signature: the first
-    one built is kept, and sweeping the block permutations marks the
-    others seen and finds the stabilizer, which is all automorphisms
-    because they preserve signatures.
+    Only labelings whose vertex signatures (degree, loops) do not increase
+    are built.  Edges are chosen in (min end, max end) order, so vertices
+    complete in label order, and a branch dies once a partial signature
+    exceeds the last completed one.  Such labelings of one orbit differ by
+    permutations within blocks of equal signature: the first one built is
+    kept, and sweeping the block permutations marks the others seen and
+    finds the stabilizer, which is all automorphisms because they preserve
+    signatures.
 
     Valence and connectivity are isomorphism invariants, so a branch may
     also die once every completion is rejected: when the last completed
@@ -282,40 +284,25 @@ def _orbit_search(v, kinds, connected, min_valence, emit):
     alphabet, opens = [], set()
     for a in range(v):
         opens.add(len(alphabet))
-        for b in range(a, v):
-            for kind, (_, directed, loops) in enumerate(kinds):
-                if a == b:
-                    if loops:
-                        alphabet.append((kind, a, a, a, ((a, 2 * kind + 1, 2),)))
-                else:
-                    alphabet.append((kind, a, b, a, ((a, 2 * kind, 1), (b, 2 * kind + directed, 1))))
-                    if directed:
-                        alphabet.append((kind, b, a, a, ((b, 2 * kind, 1), (a, 2 * kind + 1, 1))))
-    last = {entry[0]: i for i, entry in enumerate(alphabet)}
-    if any(count and kind not in last for kind, (count, _, _) in enumerate(kinds)):
-        return
+        for b in range(a if loops else a + 1, v):
+            alphabet.append((a, b, ((a, 1, 2),) if a == b else ((a, 0, 1), (b, 0, 1))))
     m = min_valence
-    if m * v > 2 * sum(count for count, _, _ in kinds):
+    if (e and not alphabet) or m * v > 2 * e:
         return
-    rem = [count for count, _, _ in kinds]
-    done = [0] * len(kinds)
-    sig = [[0] * (2 * len(kinds)) for _ in range(v)]
+    sig = [[0, 0] for _ in range(v)]
     val = [0] * v  # valences; each bump says what its edge adds
-    chosen = [[] for _ in kinds]
+    chosen = []
     seen = set()
 
     def image(p):
-        return tuple(
-            tuple(sorted((p[t], p[h]) if directed or p[t] <= p[h] else (p[h], p[t]) for t, h in es))
-            for (_, directed, _), es in zip(kinds, chosen)
-        )
+        return tuple(sorted((p[t], p[h]) if p[t] <= p[h] else (p[h], p[t]) for t, h in chosen))
 
     def leaf():
         if sig != sorted(sig, reverse=True):
             return
         if m and min(val) < m:
             return
-        if connected and not _pairs_connected(v, [p for es in chosen for p in es]):
+        if connected and not _pairs_connected(v, chosen):
             return
         key = image(range(v))
         if key in seen:
@@ -329,59 +316,46 @@ def _orbit_search(v, kinds, connected, min_valence, emit):
                 stab.append((p, sign))
         emit((key, tuple(stab)))
 
-    def extend(i):
-        # every kind's last entry takes all its remaining edges, so the
-        # counts run out at the latest with the alphabet
-        while True:
-            if rem == done:
-                return leaf()
-            kind, t, h, a, bumps = alphabet[i]
-            # entering vertex a's entries, vertex a - 1 is complete: no
-            # later vertex may outrank it, it must reach the minimum
-            # valence, and the remaining edges must cover what the later
-            # vertices miss
-            if a and i in opens:
-                if max(sig[a:]) > sig[a - 1]:
-                    return
-                if m and (val[a - 1] < m or sum(max(0, m - d) for d in val[a:]) > 2 * sum(rem)):
-                    return
-            if rem[kind]:
-                break
-            i += 1
-        count, directed = rem[kind], kinds[kind][1]
-        low = count if last[kind] == i else 0
+    def extend(i, rem):
+        # the last entry takes all remaining edges, so they run out at the
+        # latest with the alphabet
+        if not rem:
+            return leaf()
+        t, h, bumps = alphabet[i]
+        # entering vertex t's entries, vertex t - 1 is complete: no later
+        # vertex may outrank it, it must reach the minimum valence, and the
+        # remaining edges must cover what the later vertices miss
+        if t and i in opens:
+            if max(sig[t:]) > sig[t - 1]:
+                return
+            if m and (val[t - 1] < m or sum(max(0, m - d) for d in val[t:]) > 2 * rem):
+                return
         added = 0
         while True:
-            if added >= low:
-                rem[kind] = count - added
-                extend(i + 1)
-            # an arc t -> h closes a cycle only if h has out-arcs and t in-arcs
-            if added == count or (
-                directed and not added and sig[h][2 * kind] and sig[t][2 * kind + 1]
-                and not _arcs_acyclic(v, chosen[kind] + [(t, h)])
-            ):
+            if added >= (rem if i == len(alphabet) - 1 else 0):
+                extend(i + 1, rem - added)
+            if added == rem:
                 break
             added += 1
-            chosen[kind].append((t, h))
+            chosen.append((t, h))
             for x, c, w in bumps:
                 sig[x][c] += 1
                 val[x] += w
-            if a and (sig[t] > sig[a - 1] or sig[h] > sig[a - 1]):
+            if t and (sig[t] > sig[t - 1] or sig[h] > sig[t - 1]):
                 break
-        del chosen[kind][len(chosen[kind]) - added:]
+        del chosen[len(chosen) - added:]
         for x, c, w in bumps:
             sig[x][c] -= added
             val[x] -= w * added
-        rem[kind] = count
 
-    extend(0)
+    extend(0, e)
 
 
 @lru_cache(maxsize=None)
-def _orbit_reps(v, kinds, connected=False, min_valence=0):
+def _orbit_reps(v, e, loops, connected, min_valence):
     """The generation layer's one cache: ``_orbit_search``'s orbits."""
     reps = []
-    _orbit_search(v, kinds, connected, min_valence, reps.append)
+    _orbit_search(v, e, loops, connected, min_valence, reps.append)
     return tuple(reps)
 
 
@@ -414,6 +388,19 @@ def _acyclic_support_signs(v: int, support: tuple):
     return tuple(sorted(out))
 
 
+def _decorations(v, pairs, d):
+    """Every labeled solid/dotted decoration of a multigraph's sorted pairs,
+    as sorted (solid arcs, dotted pairs): d edges dotted, every loop among
+    them, and the rest solid arcs, parallel ones pointing the same way and
+    all oriented acyclically (``_acyclic_support_signs``)."""
+    for solid in dict.fromkeys(itertools.combinations([p for p in pairs if p[0] != p[1]], len(pairs) - d)):
+        dotted = tuple((Counter(pairs) - Counter(solid)).elements())
+        support = tuple(dict.fromkeys(solid))
+        for signs in _acyclic_support_signs(v, support):
+            up = dict(zip(support, signs))
+            yield tuple(sorted((t, h) if up[t, h] > 0 else (h, t) for t, h in solid)), dotted
+
+
 def _colorings(v, k, edges):
     """Every k-coloring of a structure, as records (one sorted tuple per
     kind).  Each color orients every support pair acyclically, parallel
@@ -438,25 +425,26 @@ def _colorings(v, k, edges):
         )
 
 
-def _colored_classes(v, k, structures, kinds, parity, admit):
+def _colored_classes(v, k, structures, kinds, parity, admit, decorate=None):
     """One labeled coloring (one sorted record tuple per kind) per non-Zero
-    class of k-colored graphs on the given structures, in their order.
+    class of k-colored graphs on the given multigraphs, in their order.
 
-    ``structures`` yields ``(edges, stab)`` as ``_orbit_reps`` lists them:
-    one sorted tuple of (t, h) pairs per kind in ``kinds`` and the signed
-    stabilizer, swept as it is.  The colorings of one class form one orbit
-    of the stabilizer, its full automorphism group, so each orbit is swept
-    once, from the first of its colorings that ``admit`` accepts (admission
-    is a class property): every image under the stabilizer is marked
-    seen, and that coloring is yielded unless the class is Zero, that is
-    unless a tadpole or repeated records make every image Zero or two
-    images agree with opposite signs (an odd automorphism).  Under a
-    one-permutation stabilizer each coloring is its own class, and its one
-    relabeling is the Zero test.  A coloring is its class's canonical form
-    up to sign: callers canonicalize what they store.
+    ``structures`` yields ``(pairs, stab)`` as ``_orbit_reps`` lists them,
+    and the stabilizer is swept as it is.  ``decorate(pairs)`` yields the
+    labeled structures on a multigraph, one sorted tuple of (t, h) pairs
+    per kind in ``kinds``; without it the multigraph is its one structure.
+    The decorated colorings of one class form one orbit of the stabilizer,
+    the multigraph's full automorphism group, so each orbit is swept once,
+    from the first of them that ``admit`` accepts (admission is a class
+    property): every image is marked seen, and that coloring is yielded
+    unless the class is Zero, that is unless a tadpole or repeated records
+    make every image Zero or two images agree with opposite signs (an odd
+    automorphism).  Under a one-permutation stabilizer each is its own
+    class, and its one relabeling is the Zero test.  A coloring is its
+    class's canonical form up to sign: callers canonicalize what they store.
     """
-    for edges, stab in structures:
-        colorings = _colorings(v, k, edges)
+    for pairs, stab in structures:
+        colorings = (c for edges in (decorate(pairs) if decorate else ((pairs,),)) for c in _colorings(v, k, edges))
         if len(stab) == 1:
             ((perm, sign),) = stab
             for colored in colorings:
@@ -652,9 +640,9 @@ def act(g: ColoredGraph, elem: GroupElement, parity: Parity):
     The sign follows the parity rule: sgn(edge permutation) for n even,
     sgn(vertex permutation) * (-1)^#flips for n odd.
     """
-    if len(elem.vertex_perm) != g.v or len(elem.edge_perm) != g.e:
-        raise ValueError("group element dimensions do not match the graph")
-    vp = elem.vertex_perm
+    vp, ep = elem.vertex_perm, elem.edge_perm
+    if sorted(vp) != list(range(g.v)) or sorted(ep) != list(range(g.e)) or not set(elem.flips) <= set(range(g.e)):
+        raise ValueError("group element must permute the vertices and the edges and flip only edges")
     new_records = [None] * g.e
     for i, rec in enumerate(g.records):
         t, h = vp[rec[0]], vp[rec[1]]
@@ -662,9 +650,9 @@ def act(g: ColoredGraph, elem: GroupElement, parity: Parity):
         if i in elem.flips:
             t, h = h, t
             cs = tuple(-s for s in cs)
-        new_records[elem.edge_perm[i]] = (t, h) + cs
+        new_records[ep[i]] = (t, h) + cs
     if parity is Parity.EVEN:
-        sign = perm_parity(elem.edge_perm)
+        sign = perm_parity(ep)
     else:
         sign = perm_parity(vp) * (-1 if len(elem.flips) & 1 else 1)
     return ColoredGraph(g.v, g.k, tuple(new_records)), sign

@@ -20,7 +20,8 @@ These rules are declared as the two edge kinds ``graphs.SKELETON_KINDS``,
 and the graph module's typed-edge kernel applies them, so canonical forms,
 classes (``graphs.CanonicalClass``) and bases of both complexes come from
 the same code.  Shape bases come from ``complexes._basis`` under
-``REDUCED_CONSTRAINTS``, read in the base colors.
+``REDUCED_CONSTRAINTS``, read in the base colors, on the solid/dotted
+decorations of the graph complex's own multigraph orbits.
 
 All differential signs below are anchored to the expanded picture in
 the full (k+1)-colored complex, where middle vertices are labeled after
@@ -48,6 +49,7 @@ from .graphs import (
     _arcs_acyclic,
     _canonical_form,
     _color_acyclic,
+    _decorations,
     _orbit_reps,
     _passing_in_color,
     canonicalize,
@@ -285,12 +287,17 @@ class SkeletonSliceParams(NamedTuple):
 def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     """Canonical classes of one (v, solids, dotteds) shape, in basis order.
 
-    ``complexes._basis`` under the reduced constraints, on the connected
-    structures of their least valence (``graphs._orbit_reps``, acyclic in
-    the last color) that the family admits.  The family reads pairs only,
-    so it is tested once per structure.  A shape whose edges have too few
-    ends for the least valence is empty, and builds nothing whatever its
-    size; any other is held to ``SHAPE_BOUNDS``.
+    ``complexes._basis`` under the reduced constraints, in two levels: the
+    connected multigraphs of their least valence (``graphs._orbit_reps``,
+    the graph complex's search) that the family admits, then each one's
+    decorations (``graphs._decorations``, acyclic in the last color).  The
+    family reads pairs only and a loop must be dotted, so it is tested once
+    per multigraph, and loops are searched only where a dotted tadpole can
+    be non-Zero (k = 0, the parity that makes its reversal even, a family
+    whose quotient keeps it); elsewhere a shape shares the reduced graph
+    slice's cached multigraphs.  A shape whose edges have too few ends for
+    the least valence is empty, and builds nothing whatever its size; any
+    other is held to ``SHAPE_BOUNDS``.
     """
     v, k, s, d, family = params.v, params.k, params.n_solid, params.n_dotted, params.family
     if v < 1 or s < 0 or d < 0:
@@ -303,11 +310,13 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     needs = {SkeletonFamily.TADPOLE_SUB: has_dotted_tadpole, SkeletonFamily.MULTI_SUB: has_multiple_edge}.get(family)
 
     def admitted(structure):
-        sg = SkeletonGraph(v, k, *structure[0])
+        sg = SkeletonGraph(v, k, (), structure[0])  # the family reads pairs only
         return (needs is None or needs(sg)) and not quotient_kills(sg, family, parity)
 
-    structures = filter(admitted, _orbit_reps(v, ((s, True, False), (d, False, True)), True, m))
-    forms = _basis(v, k, parity, REDUCED_CONSTRAINTS, structures, SKELETON_KINDS)
+    tadpole = SkeletonGraph(1, k, (), ((0, 0),))
+    loops = k == 0 and DOTTED.reversal_odd is not parity and not quotient_kills(tadpole, family, parity)
+    structures = filter(admitted, _orbit_reps(v, s + d, loops, True, m))
+    forms = _basis(v, k, parity, REDUCED_CONSTRAINTS, structures, SKELETON_KINDS, lambda p: _decorations(v, p, d))
     return tuple(SkeletonGraph(v, k, *edges) for edges in forms)
 
 

@@ -373,7 +373,7 @@ def test_work_does_not_depend_on_the_hash_seed():
         "cons = {Constraint.CONNECTED, Constraint.MIN_VALENCE_2}\n"
         "print(homology_table(1, 1, 1, cons, 5))\n"
         "print(_canonical_form.cache_info())\n"
-        "print(_orbit_reps.cache_info(), _orbit_reps(5, ((6, False, False),), True, 2))\n"
+        "print(_orbit_reps.cache_info(), _orbit_reps(5, 6, False, True, 2))\n"
     )
     outs = [
         subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -127,6 +127,21 @@ class TestAct:
         with pytest.raises(ValueError):
             act(TRIANGLE, elem, EVEN)
 
+    @pytest.mark.parametrize(
+        "g, elem",
+        [
+            (TRIANGLE, GroupElement((0, 0, 1), (0, 1, 2), frozenset())),  # would make the tadpole (0, 0)
+            (TRIANGLE, GroupElement((0, 1, 5), (0, 1, 2), frozenset())),  # vertex image out of range
+            (DOUBLE_EDGE, GroupElement((0, 1), (1, 1), frozenset())),  # would leave a None record
+            (TRIANGLE, GroupElement((0, 1, 2), (0, 1, 2), frozenset({7}))),  # flips no edge, yet signs
+        ],
+        ids=["repeated-vertex", "vertex-out-of-range", "repeated-edge", "stray-flip"],
+    )
+    def test_non_permutations_and_stray_flips_are_refused(self, g, elem):
+        for parity in (EVEN, ODD):
+            with pytest.raises(ValueError):
+                act(g, elem, parity)
+
 
 class TestCanonicalize:
     def test_single_edge_already_canonical(self):
