@@ -68,6 +68,7 @@ from .graphs import (
     VERTICES_ODD,
     _canonical_form,
     _colored_classes,
+    _far_reach,
     _orbit_reps,
     _orbit_search,
     _pair_degrees,
@@ -223,8 +224,8 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
     the cached ``graphs._orbit_reps``."""
     check_constraints(params.constraints)
     check_bounds(params.v, params.e, params.k, force)
-    if params.v < 1 or params.e < 0:
-        raise ValueError("need v >= 1 and e >= 0")
+    if params.v < 1 or params.e < 0 or params.k < 0:
+        raise ValueError("need v >= 1, e >= 0 and color count k >= 0")
     v, k = params.v, params.k
     forms = _basis(v, k, params.parity, params.constraints, _orbit_reps(*_orbit_args(params)))
     return BasisSlice(params, tuple(ColoredGraph(v, k, records) for (records,) in forms), params.degree)
@@ -232,21 +233,6 @@ def enumerate_basis(params: SliceParams, force=False) -> BasisSlice:
 
 # ---------------------------------------------------------------------------
 # the differential
-
-
-def _far_reach(v, arcs):
-    """``far[x]``: the bit set of the vertices that x reaches by a directed
-    path of length >= 2 along the acyclic ``arcs``.  ``reach[x]`` is the
-    bit set of the vertices x reaches, itself included; the arcs join it
-    one at a time, as in ``graphs._acyclic_support_signs``."""
-    reach = [1 << x for x in range(v)]
-    for a, b in arcs:
-        # whatever reaches a now reaches everything b reaches
-        reach = [r | reach[b] if r >> a & 1 else r for r in reach]
-    far = [0] * v
-    for a, b in arcs:
-        far[a] |= reach[b] & ~(1 << b)
-    return far
 
 
 def _contractible(g: ColoredGraph):

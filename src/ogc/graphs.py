@@ -47,7 +47,7 @@ decorations under its signed stabilizer: the multigraph itself for a
 ColoredGraph, its solid/dotted structures (``_decorations``) for a
 skeleton.
 
-Most inputs refine to singleton cells: 5,717 of the 6,258 the engine
+Most inputs refine to singleton cells: 5,762 of the 6,304 the engine
 computes in a ``verify-props --n 1 --colors 1`` run.  ``_refine`` stops
 as soon as every cell is a singleton, and ``_canonical_form`` then
 applies ``_cell_perms``' one relabeling through ``_relabeled_form``, the
@@ -57,7 +57,7 @@ Each labeled graph is canonicalized once per process, as far as a small
 memo allows.  ``_canonical_form`` keeps the last ``CANON_MEMO_SIZE``
 (1,024) results in an ``lru_cache`` keyed on the vertex count, the
 records, the kinds and the parity; bounded, it adds about 0.8 MB of peak
-memory, and 4,335 of the 10,593 calls in that run hit.  A hit returns
+memory, and 4,289 of the 10,593 calls in that run hit.  A hit returns
 what the engine computes for the same four arguments, and each process
 keeps its own memo, so ``--workers`` cannot change a row.
 """
@@ -364,11 +364,11 @@ def _acyclic_support_signs(v: int, support: tuple):
     """All sign assignments on the distinct pairs that orient them
     acyclically, each sign taken relative to the (t, h) order with t < h.
 
-    The pairs are oriented one at a time, skipping an arc whose head
-    already reaches its tail; ``reach[x]`` is the bit set of the vertices
-    reachable from x.  Each branch is acyclic, and the two orientations
-    of a pair lead to disjoint branches, so every acyclic orientation is
-    found once.
+    The pairs are oriented one at a time by ``_reach``'s rule, branching
+    where it applies it once: an arc whose head already reaches its tail
+    is skipped, and ``reach[x]`` is the bit set of the vertices reachable
+    from x.  Each branch is acyclic, and the two orientations of a pair
+    lead to disjoint branches, so every acyclic orientation is found once.
     """
     out = []
     signs = [0] * len(support)
@@ -667,25 +667,31 @@ def is_acyclic_in_color(g: ColoredGraph, c: int) -> bool:
 
 def _color_acyclic(v, records, c) -> bool:
     """True iff color c orients the flat records without a directed cycle."""
-    return _arcs_acyclic(v, [(r[0], r[1]) if r[1 + c] > 0 else (r[1], r[0]) for r in records])
+    return _reach(v, [(r[0], r[1]) if r[1 + c] > 0 else (r[1], r[0]) for r in records]) is not None
 
 
-def _arcs_acyclic(v, arcs) -> bool:
-    indeg = [0] * v
-    out = [[] for _ in range(v)]
+def _reach(v, arcs):
+    """``reach[x]``: the bit set of the vertices x reaches along the
+    (tail, head) arcs, itself included, or None when the arcs close a
+    directed cycle.  The arcs join one at a time: an arc a -> b closes a
+    cycle iff b already reaches a (a tadpole included); otherwise whatever
+    reaches a now also reaches everything b reaches."""
+    reach = [1 << x for x in range(v)]
     for a, b in arcs:
-        out[a].append(b)
-        indeg[b] += 1
-    stack = [x for x in range(v) if indeg[x] == 0]
-    seen = 0
-    while stack:
-        x = stack.pop()
-        seen += 1
-        for y in out[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                stack.append(y)
-    return seen == v
+        if reach[b] >> a & 1:
+            return None
+        reach = [r | reach[b] if r >> a & 1 else r for r in reach]
+    return reach
+
+
+def _far_reach(v, arcs):
+    """``far[x]``: the bit set of the vertices that x reaches by a directed
+    path of length >= 2 along the acyclic ``arcs`` (``_reach``)."""
+    reach = _reach(v, arcs)
+    far = [0] * v
+    for a, b in arcs:
+        far[a] |= reach[b] & ~(1 << b)
+    return far
 
 
 def _pair_degrees(v, pairs):
@@ -728,14 +734,21 @@ def valence(g: ColoredGraph, x: int) -> int:
     return sum((rec[0] == x) + (rec[1] == x) for rec in g.records)
 
 
-def _passing_in_color(records, x, c) -> bool:
-    """x ends exactly two of the flat records, neither a tadpole, and is
-    the color-c head of one of them: 2-valent with color-c in-degree 1
-    and out-degree 1."""
-    incident = [rec for rec in records if x in rec[:2]]
-    if len(incident) != 2 or any(rec[0] == rec[1] for rec in incident):
-        return False
-    return sum((rec[1] if rec[1 + c] > 0 else rec[0]) == x for rec in incident) == 1
+def _passing(v, k, records):
+    """The passing vertices of the flat records, from one pass over them: a
+    vertex passes when it ends two records and, in every one of the k
+    colors, is the head of exactly one.  A tadpole counts twice in each
+    color, so its vertex never passes in a color; with no colors every
+    2-valent vertex passes."""
+    ends = [0] * v
+    heads = [[0] * v for _ in range(k)]
+    for rec in records:
+        t, h = rec[0], rec[1]
+        ends[t] += 1
+        ends[h] += 1
+        for count, s in zip(heads, rec[2:]):
+            count[h if s > 0 else t] += 1 + (t == h)
+    return [x for x in range(v) if ends[x] == 2 and all(count[x] == 1 for count in heads)]
 
 
 def is_passing(g: ColoredGraph, x: int) -> bool:
@@ -743,13 +756,11 @@ def is_passing(g: ColoredGraph, x: int) -> bool:
     every color.  With no colors every 2-valent vertex passes."""
     if not (0 <= x < g.v):
         raise ValueError(f"vertex {x} out of range")
-    if valence(g, x) != 2:
-        return False
-    return all(_passing_in_color(g.records, x, c) for c in range(1, g.k + 1))
+    return x in _passing(g.v, g.k, g.records)
 
 
 def has_passing_vertex(g: ColoredGraph) -> bool:
-    return any(d == 2 and is_passing(g, x) for x, d in enumerate(_pair_degrees(g.v, g.edges)))
+    return 2 in _pair_degrees(g.v, g.edges) and bool(_passing(g.v, g.k, g.records))
 
 
 class TermVector:

@@ -46,12 +46,12 @@ from .graphs import (
     ColoredGraph,
     Parity,
     TermVector,
-    _arcs_acyclic,
     _canonical_form,
     _color_acyclic,
     _decorations,
     _orbit_reps,
-    _passing_in_color,
+    _passing,
+    _reach,
     canonicalize,
     check_records,
     merge_labels,
@@ -109,22 +109,13 @@ def canonicalize_skeleton(sg: SkeletonGraph, parity: Parity) -> CanonicalClass:
 # structural predicates
 
 
-def _sk_last_color_acyclic(sg):
-    return _arcs_acyclic(sg.v, [(r[0], r[1]) for r in sg.solid])
-
-
 def has_dotted_tadpole(sg):
     return any(r[0] == r[1] for r in sg.dotted)
 
 
 def has_multiple_edge(sg):
-    seen = set()
-    for rec in sg.solid + sg.dotted:
-        key = (rec[0], rec[1]) if rec[0] < rec[1] else (rec[1], rec[0])
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
+    pairs = [(r[0], r[1]) if r[0] < r[1] else (r[1], r[0]) for r in sg.solid + sg.dotted]
+    return len(set(pairs)) < len(pairs)
 
 
 class SkeletonFamily(enum.Enum):
@@ -165,18 +156,17 @@ def contract_solid(sg: SkeletonGraph, j: int, parity: Parity) -> TermVector:
     for c in range(1, sg.k + 1):
         if not _color_acyclic(v_new, records, c):
             return out
-    if not _sk_last_color_acyclic(candidate):
+    if _reach(v_new, [r[:2] for r in new_solid]) is None:
         return out
     # the merged vertex p stays unless it is 2-valent and passing in every
     # base color: then a dotted edge at p, or two solids that also pass p
     # in the last color, project to zero, and two solids co-oriented at p
     # form a length-2 string whose antisymmetric part is one dotted edge
     p = lab[y]
-    ends = [i for i, rec in enumerate(records) for end in rec[:2] if end == p]
-    if len(ends) != 2 or not all(_passing_in_color(records, p, c) for c in range(1, sg.k + 1)):
+    if p not in _passing(v_new, sg.k, records):
         out.add_class(canonicalize_skeleton(candidate, parity), sign)
         return out
-    i1, i2 = ends
+    i1, i2 = [i for i, rec in enumerate(records) for end in rec[:2] if end == p]
     if i2 >= len(new_solid):
         return out
     r1, r2 = new_solid[i1], new_solid[i2]
@@ -202,8 +192,14 @@ def contract_solid(sg: SkeletonGraph, j: int, parity: Parity) -> TermVector:
 
 def dotted_differential(sg: SkeletonGraph, parity: Parity) -> TermVector:
     """Replace each dotted edge by a solid one minus (-1)^m the reversed
-    solid one, in the last color, keeping the base colors."""
+    solid one, in the last color, keeping the base colors.  The solid
+    x -> y closes a cycle in the last color iff y reaches x along the
+    solids (a tadpole included), and every term drops when the solids
+    already have one."""
     out = TermVector()
+    reach = _reach(sg.v, [r[:2] for r in sg.solid])
+    if reach is None:
+        return out
     D = sg.n_dotted
     for j, rec in enumerate(sg.dotted):
         x, y, cs = rec[0], rec[1], rec[2:]
@@ -213,9 +209,9 @@ def dotted_differential(sg: SkeletonGraph, parity: Parity) -> TermVector:
             ((x, y) + cs, pre),
             ((y, x) + tuple(-s for s in cs), -pre if parity is Parity.EVEN else pre),
         ):
-            candidate = SkeletonGraph(sg.v, sg.k, sg.solid + (direction,), rest)
-            if not _sk_last_color_acyclic(candidate):
+            if reach[direction[1]] >> direction[0] & 1:
                 continue
+            candidate = SkeletonGraph(sg.v, sg.k, sg.solid + (direction,), rest)
             out.add_class(canonicalize_skeleton(candidate, parity), coeff)
     return out
 
@@ -300,8 +296,8 @@ def enumerate_skeleton_shape(params: SkeletonSliceParams, force=False):
     other is held to ``SHAPE_BOUNDS``.
     """
     v, k, s, d, family = params.v, params.k, params.n_solid, params.n_dotted, params.family
-    if v < 1 or s < 0 or d < 0:
-        raise ValueError("need v >= 1 and nonnegative edge counts")
+    if v < 1 or s < 0 or d < 0 or k < 0:
+        raise ValueError("need v >= 1 and nonnegative edge counts and color count")
     m = _min_valence(k, REDUCED_CONSTRAINTS)
     if m * v > 2 * (s + d):
         return ()  # empty before any bound applies

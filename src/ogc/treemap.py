@@ -23,7 +23,6 @@ skeleton-then-middles order of ``skeleton.expand_dotted``.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
 from .graphs import (
@@ -33,11 +32,11 @@ from .graphs import (
     TermVector,
     GRAPH_KINDS,
     VERTICES_ODD,
+    _pair_degrees,
     _pairs_connected,
     is_connected,
     relabel_records,
     shift_sign,
-    valence,
 )
 from .complexes import (
     BasisSlice,
@@ -138,7 +137,8 @@ def tree_image(g: ColoredGraph, x: int, tree, n_parity: Parity) -> TreeImage:
 
 
 def spanning_tree_map(g: ColoredGraph, n_parity: Parity, project=True) -> TermVector:
-    """Sum over roots and spanning trees, weighted by valence - 2.
+    """Sum over roots and spanning trees, weighted by valence - 2; the
+    coefficients add up as ints, one Fraction per entry at the end.
 
     With ``project`` the result passes through the tadpole/multi-edge
     quotient of the image parity; image graphs of multiplicity-free
@@ -146,17 +146,16 @@ def spanning_tree_map(g: ColoredGraph, n_parity: Parity, project=True) -> TermVe
     quotient only drops the ones it kills.
     """
     m_parity = n_parity.flipped
-    out = TermVector()
+    counts = {}
     trees = spanning_trees(g)
-    for x in range(g.v):
-        weight = valence(g, x) - 2
-        if weight == 0:
+    for x, degree in enumerate(_pair_degrees(g.v, g.edges)):
+        if degree == 2:
             continue
         for tree in trees:
-            term = tree_image(g, x, tree, n_parity)
-            if term.image.is_zero:
-                continue
-            out.add(term.image.rep, Fraction(weight) * term.image.sign)
+            image = tree_image(g, x, tree, n_parity).image
+            if not image.is_zero:
+                counts[image.rep] = counts.get(image.rep, 0) + (degree - 2) * image.sign
+    out = TermVector.from_counts(counts)
     if not project:
         return out
     return out.without(lambda rep: quotient_kills(rep, SkeletonFamily.SIMPLE, m_parity))

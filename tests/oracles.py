@@ -1,19 +1,16 @@
 """Independent checks that only the tests use: the matrix-tree count of
 spanning trees, weak passing and the collapse of an expanded graph back
 into its skeleton, membership in the solid/dotted complex, and a
-modular rank through the package's elimination loop."""
+modular rank through the package's elimination loop.
+
+Acyclicity, connectivity and passing are tested here by their own
+depth-first search and per-vertex scans, sharing no code with the
+package's predicates (``graphs._reach``, ``graphs._passing``) that they
+check."""
 
 from fractions import Fraction
 
-from ogc.graphs import (
-    ColoredGraph,
-    _arcs_acyclic,
-    _color_acyclic,
-    _pair_degrees,
-    _pairs_connected,
-    _passing_in_color,
-    valence,
-)
+from ogc.graphs import ColoredGraph
 from ogc.linalg import SparseRationalMatrix, _eliminate
 from ogc.skeleton import SkeletonGraph
 
@@ -48,6 +45,52 @@ def tree_count_oracle(g: ColoredGraph) -> int:
     return int(det)
 
 
+def acyclic(v, arcs):
+    """No directed cycle along the (tail, head) arcs, by depth-first search."""
+    succ = [[h for t, h in arcs if t == x] for x in range(v)]
+    state = [0] * v  # 0 new, 1 on the stack, 2 finished
+
+    def visit(x):
+        state[x] = 1
+        for y in succ[x]:
+            if state[y] == 1 or (state[y] == 0 and not visit(y)):
+                return False
+        state[x] = 2
+        return True
+
+    return all(state[x] or visit(x) for x in range(v))
+
+
+def color_arcs(records, c):
+    """The flat records as their color-c (tail, head) arcs."""
+    return [(r[0], r[1]) if r[1 + c] > 0 else (r[1], r[0]) for r in records]
+
+
+def connected(v, pairs):
+    reached, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for t, h in pairs:
+            for a, b in ((t, h), (h, t)):
+                if a == x and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+    return len(reached) == v
+
+
+def degree(records, x):
+    return sum((r[0] == x) + (r[1] == x) for r in records)
+
+
+def passes_in_color(records, x, c):
+    """x ends exactly two of the flat records, neither a tadpole, and is
+    the color-c head of exactly one of them."""
+    incident = [r for r in records if x in r[:2]]
+    if len(incident) != 2 or any(r[0] == r[1] for r in incident):
+        return False
+    return sum(h == x for _, h in color_arcs(incident, c)) == 1
+
+
 def is_weakly_passing(g: ColoredGraph, x: int) -> bool:
     """Passing in every color but the last one, where it is not passing.
 
@@ -58,11 +101,11 @@ def is_weakly_passing(g: ColoredGraph, x: int) -> bool:
         raise ValueError("weak passing needs at least one color")
     if not (0 <= x < g.v):
         raise ValueError(f"vertex {x} out of range")
-    if valence(g, x) != 2:
+    if degree(g.records, x) != 2:
         return False
-    if _passing_in_color(g.records, x, g.k):
+    if passes_in_color(g.records, x, g.k):
         return False
-    return all(_passing_in_color(g.records, x, c) for c in range(1, g.k))
+    return all(passes_in_color(g.records, x, c) for c in range(1, g.k))
 
 
 def extract_skeleton(g: ColoredGraph) -> SkeletonGraph:
@@ -139,25 +182,27 @@ def is_valid_special(sg: SkeletonGraph) -> bool:
     any color, no solid tadpoles, every vertex at least 3-valent or
     2-valent but not passing in some base color, and at least one vertex
     at least 3-valent."""
+    records = sg.solid + sg.dotted
     if sg.v < 1:
         return False
     if any(r[0] == r[1] for r in sg.solid):
         return False
-    if not _pairs_connected(sg.v, [r[:2] for r in sg.solid + sg.dotted]):
+    if not connected(sg.v, [r[:2] for r in records]):
         return False
     for c in range(1, sg.k + 1):
-        if not _color_acyclic(sg.v, sg.solid + sg.dotted, c):
+        if not acyclic(sg.v, color_arcs(records, c)):
             return False
-    if not _arcs_acyclic(sg.v, [(r[0], r[1]) for r in sg.solid]):
+    if not acyclic(sg.v, [(r[0], r[1]) for r in sg.solid]):
         return False
     some_big = False
-    for x, val in enumerate(_pair_degrees(sg.v, [r[:2] for r in sg.solid + sg.dotted])):
+    for x in range(sg.v):
+        val = degree(records, x)
         if val >= 3:
             some_big = True
             continue
         if val < 2:
             return False
-        if all(_passing_in_color(sg.solid + sg.dotted, x, c) for c in range(1, sg.k + 1)):
+        if all(passes_in_color(records, x, c) for c in range(1, sg.k + 1)):
             # passing in every base color: either fully passing or an
             # unreduced string interior; excluded either way
             return False

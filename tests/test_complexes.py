@@ -129,6 +129,13 @@ class TestEnumerateBasis:
         with pytest.raises(ValueError):
             enumerate_basis(params(9, 2))
 
+    # a negative color count once failed inside itertools.product, or gave
+    # an empty reduced basis
+    @pytest.mark.parametrize("v, e, constraints", [(4, 6, CONNECTED), (3, 3, REDUCED_CONSTRAINTS)])
+    def test_negative_color_count_refused(self, v, e, constraints):
+        with pytest.raises(ValueError, match="color count k >= 0"):
+            enumerate_basis(SliceParams(v, e, -1, 0, constraints))
+
     def test_degree_and_loop_number(self):
         p = params(4, 6, 0, 2)
         assert p.degree == (4 - 1) * 2 + (1 - 2) * 6 == 0

@@ -176,6 +176,11 @@ class TestShapeEnumeration:
         with pytest.raises(ValueError, match="need v >= 1 and nonnegative edge counts"):
             enumerate_skeleton_shape(SkeletonSliceParams(v, s, d, k, 0, SkeletonFamily.SPECIAL))
 
+    @pytest.mark.parametrize("v, s, d", [(3, 3, 1), (1, 0, 0)])
+    def test_negative_color_count_rejected_before_any_search(self, v, s, d):
+        with pytest.raises(ValueError, match="nonnegative edge counts and color count"):
+            enumerate_skeleton_shape(SkeletonSliceParams(v, s, d, -1, 0, SkeletonFamily.SPECIAL))
+
     @pytest.mark.parametrize("v, s, d, k, n", [(2, 1, 2, 3, 0), (2, 11, 1, 0, 1)])
     def test_shape_over_the_bounds_needs_force(self, v, s, d, k, n):
         params = SkeletonSliceParams(v, s, d, k, n, SkeletonFamily.SPECIAL)
