@@ -1,12 +1,13 @@
 """Independent checks that only the tests use: the matrix-tree count of
-spanning trees, weak passing and the collapse of an expanded graph back
-into its skeleton, membership in the solid/dotted complex, and a
-modular rank through the package's elimination loop.
+spanning trees, acyclicity and connectivity by search, weak passing and
+the collapse of an expanded graph back into its skeleton, membership in
+the solid/dotted complex, and a modular rank through the package's
+elimination loop.
 
 Acyclicity, connectivity and passing are tested here by their own
-depth-first search and per-vertex scans, sharing no code with the
-package's predicates (``graphs._reach``, ``graphs._passing``) that they
-check."""
+depth-first searches and per-vertex scans, sharing no code with the
+package's predicates (``graphs._reach``, ``graphs._passing``) or the
+orbit generator that they check."""
 
 from fractions import Fraction
 
@@ -67,6 +68,7 @@ def color_arcs(records, c):
 
 
 def connected(v, pairs):
+    """The pairs join 0..v-1 into one component, by search from vertex 0."""
     reached, frontier = {0}, [0]
     while frontier:
         x = frontier.pop()

@@ -10,15 +10,16 @@ same order, with loops and without.  A skeleton shape's structures are
 the decorations (``_decorations``) of the connected multigraphs with
 loops, and a decoration has its multigraph's valences, so on the pruned
 multigraphs they must be the decorated unpruned ones, filtered.  The
-predicates here (valence by counting ends, a loop twice; connectivity by
-search from vertex 0) share no code with the generator.  The unpruned
-side calls the uncached generator, so its structures do not stay in
-memory.
+predicates (valence by counting ends, a loop twice; connectivity by
+search from vertex 0, from ``oracles.py``) share no code with the
+generator.  The unpruned side calls the uncached generator, so its
+structures do not stay in memory.
 """
 
 import pytest
 
 from ogc.graphs import _decorations, _orbit_reps
+from oracles import connected
 
 MIN_VALENCES = (2, 3)
 MULTIGRAPH_SLICES = [(v, e) for v in range(1, 7) for e in range(0, 11)]
@@ -42,18 +43,6 @@ def valences(v, edges):
         val[t] += 1
         val[h] += 1
     return val
-
-
-def connected(v, pairs):
-    reached, frontier = {0}, [0]
-    while frontier:
-        x = frontier.pop()
-        for t, h in pairs:
-            for a, b in ((t, h), (h, t)):
-                if a == x and b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-    return len(reached) == v
 
 
 @pytest.mark.parametrize("v, e", MULTIGRAPH_SLICES)

@@ -10,13 +10,13 @@ skeleton shape, of the decorations of every multigraph), the stabilizer
 as exactly the permutations fixing the representative, and
 representatives pairwise non-isomorphic.  The decorations of one
 multigraph must be exactly the labeled structures on it, each once.  The
-oracles here (acyclicity by depth-first search, connectivity by search
-from vertex 0, all v! permutations) share no code with the generator.
-Each stabilizer element's sign, which the generator multiplies together
-from its blocks, must also equal the parity of the whole permutation
-(``perm_parity``, by inversions).  The cached tuple holds what the search
-``_orbit_search`` emits, in the order it emits it, and a search stopped
-by its ``emit`` has emitted a prefix of it.
+oracles (acyclicity by depth-first search and connectivity by search
+from vertex 0, from ``oracles.py``; all v! permutations) share no code
+with the generator.  Each stabilizer element's sign, which the generator
+multiplies together from its blocks, must also equal the parity of the
+whole permutation (``perm_parity``, by inversions).  The cached tuple
+holds what the search ``_orbit_search`` emits, in the order it emits it,
+and a search stopped by its ``emit`` has emitted a prefix of it.
 """
 
 import itertools
@@ -25,6 +25,7 @@ from math import comb, factorial
 import pytest
 
 from ogc.graphs import _decorations, _orbit_reps, _orbit_search, perm_parity
+from oracles import acyclic, connected
 
 MULTIGRAPH_SLICES = [(v, e) for v in range(1, 6) for e in range(0, 9)]
 SKELETON_SHAPES = [(v, s, d) for v in range(1, 5) for s in range(0, 6) for d in range(0, 6 - s)]
@@ -42,33 +43,6 @@ def skeleton_reps(v, s, d):
 
 def image(p, pairs):
     return tuple(sorted((p[t], p[h]) if p[t] <= p[h] else (p[h], p[t]) for t, h in pairs))
-
-
-def acyclic(v, arcs):
-    succ = [[h for t, h in arcs if t == x] for x in range(v)]
-    state = [0] * v  # 0 new, 1 on the stack, 2 finished
-
-    def visit(x):
-        state[x] = 1
-        for y in succ[x]:
-            if state[y] == 1 or (state[y] == 0 and not visit(y)):
-                return False
-        state[x] = 2
-        return True
-
-    return all(state[x] or visit(x) for x in range(v))
-
-
-def connected(v, pairs):
-    reached, frontier = {0}, [0]
-    while frontier:
-        x = frontier.pop()
-        for t, h in pairs:
-            for a, b in ((t, h), (h, t)):
-                if a == x and b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-    return len(reached) == v
 
 
 def labeled_skeleton_count(v, s, d):
