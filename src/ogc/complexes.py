@@ -68,10 +68,10 @@ from .graphs import (
     VERTICES_ODD,
     _canonical_form,
     _colored_classes,
-    _far_reach,
     _orbit_reps,
     _orbit_search,
     _pair_degrees,
+    _reach,
     canonicalize,
     form_key,
     has_passing_vertex,
@@ -246,7 +246,13 @@ def _contractible(g: ColoredGraph):
     for i in range(2, 2 + g.k):
         # each edge as its color-(i - 1) arc
         arcs = [(r[0], r[1]) if r[i] > 0 else (r[1], r[0]) for r in g.records]
-        far = _far_reach(g.v, arcs)
+        reach = _reach(g.v, arcs)
+        if reach is None:
+            raise ValueError(f"color {i - 1} orientation has a directed cycle")
+        # far[x]: the vertices x reaches by a path of length >= 2
+        far = [0] * g.v
+        for a, b in arcs:
+            far[a] |= reach[b] & ~(1 << b)
         ok = [keep and not far[a] >> b & 1 for keep, (a, b) in zip(ok, arcs)]
     return ok
 

@@ -684,16 +684,6 @@ def _reach(v, arcs):
     return reach
 
 
-def _far_reach(v, arcs):
-    """``far[x]``: the bit set of the vertices that x reaches by a directed
-    path of length >= 2 along the acyclic ``arcs`` (``_reach``)."""
-    reach = _reach(v, arcs)
-    far = [0] * v
-    for a, b in arcs:
-        far[a] |= reach[b] & ~(1 << b)
-    return far
-
-
 def _pair_degrees(v, pairs):
     deg = [0] * v
     for t, h in pairs:

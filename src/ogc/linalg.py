@@ -1,20 +1,19 @@
 """Exact sparse rational matrices: rank, homology, induced ranks, kernels,
 products.
 
-All arithmetic is over ``fractions.Fraction``; no floating point enters
-any rank or homology computation.  One elimination loop, ``_eliminate``,
-serves the exact rank, the rank up to a bound and the kernel basis; it
-takes the field's reciprocal and normalization as arguments, so the test
-suite's modular rank cross-check runs the same loop, and the exact
-elimination is always the authoritative answer.  The loop takes rows
-one at a time, so ``rank_until`` can stop the search that builds a map's
-columns once their rank meets a known bound, such as the d^2 = 0 bound
-of ``complexes.homology_table``.
+Entries are ``fractions.Fraction``; no floating point enters any rank
+or homology computation.  One fraction-free loop over the integers,
+``_eliminate``, serves the exact rank, the rank up to a bound and the
+kernel basis; the tests' modular rank cross-check has its own.  The loop
+takes rows one at a time, so ``rank_until`` can stop the search that
+builds a map's columns once their rank meets a known bound, such as the
+d^2 = 0 bound of ``complexes.homology_table``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class SparseRationalMatrix:
@@ -26,19 +25,6 @@ class SparseRationalMatrix:
     def __init__(self, rows: int, cols: int, data: dict | None = None):
         self.rows, self.cols = rows, cols
         self.data = {} if data is None else data
-
-    def set(self, r, c, value):
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"entry ({r}, {c}) outside {self.rows}x{self.cols}")
-        if not isinstance(value, Fraction):
-            value = Fraction(value)
-        if value:
-            self.data[(r, c)] = value
-        else:
-            self.data.pop((r, c), None)
-
-    def get(self, r, c) -> Fraction:
-        return self.data.get((r, c), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.data
@@ -96,46 +82,56 @@ def matrix_of(image, src_basis, dst_basis, what) -> SparseRationalMatrix:
     return m
 
 
-def _eliminate(pivots, inverse, reduce):
-    """Gaussian elimination of sparse rows ({col: value} dicts) given one
-    at a time: returns ``add(row)``, which reduces the row in place by the
-    rows kept in ``pivots`` ({least column: (row, reciprocal of its entry
-    there)}), always at its least column, until that column has none.
-    There the row is kept and ``add`` returns True; a row reduced to
-    nothing returns False.  When the row meets a longer pivot row at its
-    least column, the two trade places: the shorter is kept, and the
-    longer is reduced on in its stead, which limits fill as choosing the
-    shortest pivot does.  Kept rows have distinct least columns, so they
-    are independent, span the rows added, and their number is the rank.
-    A caller holding all rows adds the shortest first.  ``inverse`` and
-    ``reduce`` are the field's reciprocal and the normalization applied
-    to every computed entry."""
+def _content_free(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _eliminate(pivots):
+    """Fraction-free elimination of sparse rows ({col: rational} dicts)
+    given one at a time: returns ``add(row)``, which scales the row to
+    coprime integers (the same line) and reduces it at its least column
+    by the row kept there in ``pivots`` ({least column: row}) until that
+    column has none.  There the row is kept and ``add`` returns True; a
+    row reduced to nothing returns False.  A step takes a*row - b*pivot,
+    a and b being the pivot's and the row's entries over their gcd,
+    signed so that a > 0, and then takes out the content when a != 1, so
+    nothing is inverted (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22 (1968)).
+    Meeting a longer pivot row, the row trades places with it and the
+    longer one is reduced on, which limits fill as choosing the shortest
+    pivot does.  Kept rows have distinct least columns, so they are
+    independent, span the rows added, and their number is the rank.  A
+    caller holding all rows adds the shortest first."""
 
     def add(row):
+        den = lcm(*(x.denominator for x in row.values()))
+        row = _content_free({c: x.numerator * (den // x.denominator) for c, x in row.items()})
         while row:
             pc = min(row)
             pivot = pivots.get(pc)
             if pivot is None:
-                pivots[pc] = row, inverse(row[pc])
+                pivots[pc] = row
                 return True
-            pivot_row, inv = pivot
-            if len(row) < len(pivot_row):
-                pivots[pc] = pivot = row, inverse(row[pc])
-                row, (pivot_row, inv) = pivot_row, pivot
-            factor = reduce(row[pc] * inv)
-            for c, v in pivot_row.items():
-                nv = reduce(row.get(c, 0) - factor * v)
-                if nv:
-                    row[c] = nv
+            if len(row) < len(pivot):
+                pivots[pc], row, pivot = row, pivot, row
+            p, r = pivot[pc], row[pc]
+            g = gcd(p, r) if p > 0 else -gcd(p, r)
+            a, b = p // g, r // g
+            if a != 1:
+                row = {c: a * x for c, x in row.items()}
+            for c, x in pivot.items():
+                nx = row.get(c, 0) - b * x
+                if nx:
+                    row[c] = nx
                 else:
-                    row.pop(c, None)
+                    del row[c]
+            if a != 1:
+                row = _content_free(row)
         return False
 
     return add
-
-
-# the rationals' reciprocal and entry normalization, for _eliminate
-_EXACT = (lambda x: 1 / x, lambda x: x)
 
 
 def rank(m: SparseRationalMatrix) -> int:
@@ -144,7 +140,7 @@ def rank(m: SparseRationalMatrix) -> int:
     rows = {}
     for (r, c), v in m.data.items():
         rows.setdefault(r, {})[c] = v
-    return sum(map(_eliminate({}, *_EXACT), sorted(rows.values(), key=len)))
+    return sum(map(_eliminate({}), sorted(rows.values(), key=len)))
 
 
 class _BoundMet(Exception):
@@ -156,7 +152,7 @@ def rank_until(search, bound) -> int:
     ``emit`` one at a time.  Each row is eliminated as it comes, and once
     the rank meets ``bound`` ``emit`` raises to stop the search, so no
     row after that one is built."""
-    add, found = _eliminate({}, *_EXACT), 0
+    add, found = _eliminate({}), 0
 
     def emit(row):
         nonlocal found
@@ -212,17 +208,17 @@ def kernel_basis(m: SparseRationalMatrix) -> SparseRationalMatrix:
     Column j of ``m``, extended by a unit entry at m.rows + j, is
     eliminated as a row; the extension records which combination of
     columns each pivot row is.  A pivot row whose pivot lies in the
-    extension has no entry of ``m`` left, so its extension is a kernel
-    vector.  Pivots are distinct, so these d = m.cols - rank(m) vectors
-    are independent.
+    extension has no entry of ``m`` left, so its extension, integers
+    returned as Fractions, is a kernel vector.  Pivots are distinct, so
+    these d = m.cols - rank(m) vectors are independent.
     """
     cols = [{m.rows + j: Fraction(1)} for j in range(m.cols)]
     for (r, c), v in m.data.items():
         cols[c][r] = v
     pivots = {}
-    add = _eliminate(pivots, *_EXACT)
+    add = _eliminate(pivots)
     for col in sorted(cols, key=len):
         add(col)
-    kernel = [row for pc, (row, _) in pivots.items() if pc >= m.rows]
-    data = {(c - m.rows, j): v for j, row in enumerate(kernel) for c, v in row.items()}
+    kernel = [row for pc, row in pivots.items() if pc >= m.rows]
+    data = {(c - m.rows, j): Fraction(v) for j, row in enumerate(kernel) for c, v in row.items()}
     return SparseRationalMatrix(m.cols, len(kernel), data)

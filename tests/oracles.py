@@ -1,18 +1,18 @@
 """Independent checks that only the tests use: the matrix-tree count of
 spanning trees, acyclicity and connectivity by search, weak passing and
 the collapse of an expanded graph back into its skeleton, membership in
-the solid/dotted complex, and a modular rank through the package's
-elimination loop.
+the solid/dotted complex, and a modular rank.
 
 Acyclicity, connectivity and passing are tested here by their own
-depth-first searches and per-vertex scans, sharing no code with the
-package's predicates (``graphs._reach``, ``graphs._passing``) or the
-orbit generator that they check."""
+depth-first searches and per-vertex scans, and the rank by its own dense
+elimination, sharing no code with the package's predicates
+(``graphs._reach``, ``graphs._passing``), its elimination loop
+(``linalg._eliminate``) or the orbit generator that they check."""
 
 from fractions import Fraction
 
 from ogc.graphs import ColoredGraph
-from ogc.linalg import SparseRationalMatrix, _eliminate
+from ogc.linalg import SparseRationalMatrix
 from ogc.skeleton import SkeletonGraph
 
 CHECK_PRIME = (1 << 61) - 1
@@ -212,15 +212,26 @@ def is_valid_special(sg: SkeletonGraph) -> bool:
 
 
 def rank_mod_p(m: SparseRationalMatrix, p: int = CHECK_PRIME) -> int:
-    """Rank of the matrix reduced modulo a large prime, by the package's
-    one elimination loop (``linalg._eliminate``) over GF(p).
+    """Rank of the matrix reduced modulo a large prime, by dense Gaussian
+    elimination over GF(p).
 
     Underestimates the true rank with probability ~|entries|/p; used
     only as a cross-check against the exact path.
     """
-    rows = {}
+    rows = [[0] * m.cols for _ in range(m.rows)]
     for (r, c), v in m.data.items():
-        val = v.numerator * pow(v.denominator % p, p - 2, p) % p
-        if val:
-            rows.setdefault(r, {})[c] = val
-    return sum(map(_eliminate({}, lambda x: pow(x, p - 2, p), lambda x: x % p), rows.values()))
+        rows[r][c] = v.numerator * pow(v.denominator, -1, p) % p
+    found = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(found, m.rows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        top = rows[piv]
+        rows[piv], rows[found] = rows[found], top
+        inv = pow(top[c], -1, p)
+        for i in range(found + 1, m.rows):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        found += 1
+    return found

@@ -222,6 +222,17 @@ class TestDifferential:
             for rep in differential(g, parity).terms:
                 assert rep.e - rep.v == g.e - g.v
 
+    @pytest.mark.parametrize(
+        "term",
+        [lambda g: differential(g, ODD), lambda g: contract_edge(g, 1, EVEN)],
+        ids=["differential", "contract_edge"],
+    )
+    def test_color_cycle_is_refused(self, term):
+        # built directly, past make_graph's check: color 1 runs 0 -> 1 -> 2 -> 0
+        g = ColoredGraph(3, 1, ((0, 1, 1), (1, 2, 1), (2, 0, 1)))
+        with pytest.raises(ValueError, match="color 1 orientation has a directed cycle"):
+            term(g)
+
 
 def _slice_graphs():
     """Every connected basis element with v <= 5, e <= v + 1 and k <= 2
@@ -373,7 +384,7 @@ class TestRankCrossCheck:
         src = enumerate_basis(params(4, 5, 1, 1))
         dst = enumerate_basis(params(3, 4, 1, 1))
         m = differential_matrix(src, dst)
-        rows = [[m.get(i, j) for j in range(m.cols)] for i in range(m.rows)]
+        rows = [[m.data.get((i, j), 0) for j in range(m.cols)] for i in range(m.rows)]
         assert rank(m) == dense_rank(rows)
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ogc.linalg import (
     SparseRationalMatrix,
@@ -38,13 +39,10 @@ def dense_rank(rows):
     return r
 
 
-def to_sparse(rows):
-    m = SparseRationalMatrix(len(rows), len(rows[0]) if rows else 0)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                m.set(i, j, x)
-    return m
+def to_sparse(rows, cols=None):
+    cols = len(rows[0]) if cols is None else cols
+    data = {(i, j): Fraction(x) for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+    return SparseRationalMatrix(len(rows), cols, data)
 
 
 def test_zero_matrix():
@@ -52,9 +50,7 @@ def test_zero_matrix():
 
 
 def test_identity():
-    m = SparseRationalMatrix(3, 3)
-    for i in range(3):
-        m.set(i, i, 1)
+    m = SparseRationalMatrix(3, 3, {(i, i): Fraction(1) for i in range(3)})
     assert rank(m) == 3
 
 
@@ -85,7 +81,7 @@ def test_kernel_vectors_are_killed():
         assert rank(basis) == basis.cols
         for col in range(basis.cols):
             for i in range(nr):
-                s = sum(rows[i][j] * basis.get(j, col) for j in range(nc))
+                s = sum(rows[i][j] * basis.data.get((j, col), 0) for j in range(nc))
                 assert s == 0
 
 
@@ -93,8 +89,7 @@ def test_matmul():
     a = to_sparse([[1, 2], [0, 1]])
     b = to_sparse([[1, 0], [3, 1]])
     p = a @ b
-    assert p.get(0, 0) == 7 and p.get(0, 1) == 2
-    assert p.get(1, 0) == 3 and p.get(1, 1) == 1
+    assert p.data == {(0, 0): 7, (0, 1): 2, (1, 0): 3, (1, 1): 1}
 
 
 @pytest.mark.parametrize(
@@ -137,3 +132,46 @@ def test_rank_until_matches_the_oracle_and_stops_the_search_at_the_bound():
             else:
                 # the shortest prefix of that rank is built, and not a row more
                 assert len(built) == min(i for i in range(nr + 1) if dense_rank(rows[:i]) == bound)
+
+
+# entries up to 10**18, below the oracle's prime, so that none vanishes mod p
+BIG = 10**18
+
+
+@st.composite
+def sparse_rows(draw):
+    """Dense rows of a random sparse matrix, and its column count: integer
+    or rational entries, large numerators and denominators, negative
+    entries, empty rows and columns, and rows repeated up to a factor."""
+    nr, nc = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    value = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+    if draw(st.booleans()):
+        value = st.one_of(value, st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+    entry = st.one_of(st.just(0), st.just(0), value)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    for i, factor in draw(st.lists(st.tuples(st.integers(0, max(nr - 1, 0)), value), max_size=3)):
+        if rows:
+            rows.append([factor * x for x in rows[i]])
+    return rows, nc
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows())
+def test_the_one_elimination_loop_against_independent_oracles(drawn):
+    rows, nc = drawn
+    m = to_sparse(rows, nc)
+    full = rank(m)
+    assert full == dense_rank(rows) == rank_mod_p(m)
+
+    def search(emit):
+        for row in rows:
+            emit({j: Fraction(x) for j, x in enumerate(row) if x})
+
+    for bound in range(len(rows) + 2):
+        assert rank_until(search, bound) == min(full, bound)
+    basis = kernel_basis(m)
+    assert (basis.rows, basis.cols) == (nc, nc - full)
+    assert all(type(x) is Fraction for x in basis.data.values())
+    for col in range(basis.cols):
+        for row in rows:
+            assert sum(row[j] * basis.data.get((j, col), 0) for j in range(nc)) == 0
